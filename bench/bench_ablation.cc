@@ -1,7 +1,7 @@
-// Optimizer ablation (the per-pass benches DESIGN.md's experiment index
-// calls out): contribution of each §5 pass on the Table 1 queries, the
-// magic-set transformation on bound recursion, and engine-level ablations
-// (semi-naive vs naive evaluation, greedy vs written join order).
+// Optimizer ablation (listed in docs/benchmarks.md): contribution of each
+// §5 pass on the Table 1 queries, the magic-set transformation on bound
+// recursion, and engine-level ablations (semi-naive vs naive evaluation,
+// greedy vs written join order).
 
 #include <benchmark/benchmark.h>
 

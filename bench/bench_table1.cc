@@ -10,8 +10,8 @@
 //   DuckDB         SQL engine, vectorized mode
 //   HyPer          SQL engine, tuple-pipeline mode
 //
-// The expected *shape* (who wins, what optimization buys) is recorded in
-// EXPERIMENTS.md. Scale factor defaults to 1.0 (RAQLET_SF env overrides).
+// docs/benchmarks.md lists this bench beside the others and says how to
+// run and gate it. Scale factor defaults to 1.0 (RAQLET_SF env overrides).
 
 #include <benchmark/benchmark.h>
 

@@ -115,6 +115,6 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n(absolute numbers are substrate-specific; compare shapes "
-               "with Table 1 of the paper — see EXPERIMENTS.md)\n";
+               "with Table 1 of the paper — see docs/benchmarks.md)\n";
   return 0;
 }

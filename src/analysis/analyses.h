@@ -78,7 +78,8 @@ TerminationResult AnalyzeTermination(const dlir::Program& program,
 /// Runs every analysis.
 AnalysisReport Analyze(const dlir::Program& program);
 
-/// Target query-execution paradigms (DESIGN.md §2 maps them to engines).
+/// Target query-execution paradigms (docs/architecture.md maps them to
+/// engines).
 enum class Backend {
   kDatalog,  // deductive: full stratified Datalog incl. lattice recursion
   kSql,      // recursive SQL: linear, non-mutual, non-lattice recursion only

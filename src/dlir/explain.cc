@@ -203,6 +203,11 @@ Result<std::string> Explain(const Program& program,
       }
       os << "\n";
     }
+    if (m != nullptr && m->lattice_candidates > 0) {
+      os << "  ACTUAL LATTICE candidates=" << m->lattice_candidates
+         << " improved=" << m->lattice_improvements
+         << " dropped=" << m->lattice_dropped << "\n";
+    }
 
     std::set<std::string> scc_set(sccs[s].begin(), sccs[s].end());
     if (!recursive) {

@@ -362,6 +362,130 @@ struct AggState {
 };
 
 // ---------------------------------------------------------------------------
+// Lattice merge: one best-value table per lattice relation, keyed by the
+// key prefix (every column but the last). A flat open-addressing table of
+// (hash32, entry) slots over key/value arrays — the same shape as
+// Relation's dedup table — so a staged candidate is hashed and compared
+// straight from its staging columns, and no key is ever boxed as a Tuple.
+// ---------------------------------------------------------------------------
+
+class LatticeTable {
+ public:
+  LatticeTable(LatticeKind kind, size_t key_arity)
+      : kind_(kind), key_arity_(key_arity), stride_(key_arity + 1) {}
+
+  // Offers staged row `row` of `cols` (cols[c][row], key prefix first,
+  // lattice value last). Returns true — and makes it its key's best —
+  // iff the key is new or the value strictly improves the current best.
+  bool Offer(const std::vector<std::vector<Value>>& cols, size_t row,
+             const SymbolTable& symbols) {
+    ++candidates;
+    auto key = [&](size_t c) -> const Value& { return cols[c][row]; };
+    const Value& value = cols[key_arity_][row];
+    const uint32_t h32 = KeyHash(key);
+    size_t pos = 0;
+    uint32_t entry = Find(key, h32, &pos);
+    if (entry == kEmpty) {
+      if (Grow(entries() + 1)) Find(key, h32, &pos);  // re-seat the probe
+      slots_[pos] = Slot{h32, static_cast<uint32_t>(entries())};
+      for (size_t c = 0; c < key_arity_; ++c) records_.push_back(key(c));
+      records_.push_back(value);
+    } else {
+      Value& best = records_[entry * stride_ + key_arity_];
+      int cmp = CompareValues(value, best, symbols);
+      if (kind_ == LatticeKind::kMin ? cmp >= 0 : cmp <= 0) return false;
+      best = value;
+    }
+    ++improvements;
+    return true;
+  }
+
+  // True iff stored row `row` (read through `cols`, one view per column)
+  // holds its key's current best value. Every admitted row went through
+  // Offer, so its key is always present.
+  bool HoldsBest(const std::vector<Relation::ColumnView>& cols,
+                 size_t row) const {
+    auto key = [&](size_t c) { return cols[c].at(row); };
+    size_t pos = 0;
+    uint32_t entry = Find(key, KeyHash(key), &pos);
+    return entry == kEmpty ||
+           records_[entry * stride_ + key_arity_] == cols[key_arity_].at(row);
+  }
+
+  // Number of distinct keys seen.
+  size_t entries() const { return records_.size() / stride_; }
+
+  // Deterministic work counters (see obs::SccMetrics).
+  size_t candidates = 0;
+  size_t improvements = 0;
+
+ private:
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t entry = kEmpty;
+  };
+  static constexpr uint32_t kEmpty = 0xffffffffu;
+  static constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+  template <typename KeyFn>
+  uint32_t KeyHash(KeyFn&& key) const {
+    size_t h = key_arity_;
+    for (size_t c = 0; c < key_arity_; ++c) {
+      h ^= key(c).Hash() + kGolden + (h << 6) + (h >> 2);
+    }
+    uint64_t x = static_cast<uint64_t>(h) * kGolden;
+    return static_cast<uint32_t>(x ^ (x >> 32));
+  }
+
+  // Returns the entry whose key equals key(0..key_arity_), or kEmpty with
+  // *pos at the insertion slot. An empty table reports kEmpty.
+  template <typename KeyFn>
+  uint32_t Find(KeyFn&& key, uint32_t h32, size_t* pos) const {
+    if (slots_.empty()) return kEmpty;
+    const size_t mask = slots_.size() - 1;  // size is a power of two
+    for (size_t p = h32 & mask;; p = (p + 1) & mask) {
+      const Slot& slot = slots_[p];
+      if (slot.entry == kEmpty) {
+        *pos = p;
+        return kEmpty;
+      }
+      if (slot.hash != h32) continue;
+      const Value* stored = records_.data() + slot.entry * stride_;
+      bool equal = true;
+      for (size_t c = 0; c < key_arity_ && equal; ++c) {
+        equal = stored[c] == key(c);
+      }
+      if (equal) return slot.entry;
+    }
+  }
+
+  // Keeps the load factor at most 1/2 for `want` entries, rehashing from
+  // the cached hashes (no key is re-read). Returns true iff it rehashed.
+  bool Grow(size_t want) {
+    if (!slots_.empty() && want * 2 <= slots_.size()) return false;
+    size_t capacity = slots_.empty() ? 16 : slots_.size();
+    while (want * 2 > capacity) capacity *= 2;
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(capacity, Slot{});
+    const size_t mask = capacity - 1;
+    for (const Slot& slot : old) {
+      if (slot.entry == kEmpty) continue;
+      size_t p = slot.hash & mask;
+      while (slots_[p].entry != kEmpty) p = (p + 1) & mask;
+      slots_[p] = slot;
+    }
+    return true;
+  }
+
+  LatticeKind kind_;
+  size_t key_arity_;
+  size_t stride_;  // key_arity_ + 1
+  // Entry e's key, then its best value: records_[e * stride_ + c].
+  std::vector<Value> records_;
+  std::vector<Slot> slots_;  // size is a power of two (or 0)
+};
+
+// ---------------------------------------------------------------------------
 // Engine implementation proper.
 // ---------------------------------------------------------------------------
 
@@ -460,7 +584,8 @@ class Evaluation {
   // Applies the staged runs to their target relations — the single-writer
   // phase of a round — and recycles the buffers. Runs are grouped per
   // relation and each group is fed through Relation::InsertColumns in task
-  // order; lattice relations get a batched best-map pass first. When a
+  // order; lattice relations first filter the run through their
+  // LatticeTable, keeping only improving candidates. When a
   // thread pool is available the merge is sharded one task per relation
   // (each relation keeps exactly one writer, so shards never contend),
   // which parallelizes the merge while keeping contents and insertion
@@ -478,6 +603,11 @@ class Evaluation {
                      const std::unordered_map<std::string, size_t>& snapshot,
                      const std::unordered_map<std::string, size_t>& delta_begin,
                      EmitBuffer* out);
+
+  // Drops the rows of the SCC's lattice relations that no longer hold
+  // their key's best value, keeping survivors in insertion order, and
+  // records the lattice counters into `slot` (when non-null).
+  void CompactLattices(const SccWork& work, obs::SccMetrics* slot);
 
   Status EmitHead(const CompiledRule& rule, Env* env, EmitBuffer* out);
   Status FinalizeAggregates(const CompiledRule& rule,
@@ -510,12 +640,11 @@ class Evaluation {
 
   // Read-only after PrepareRelations; safe to share across SCC tasks.
   std::unordered_map<std::string, Relation*> relations_;
-  std::unordered_map<std::string, LatticeKind> lattice_kind_;
-  // Lattice best-value maps, keyed by relation name; key = tuple prefix.
-  // Entries are pre-created in PrepareRelations and each is only ever
-  // touched by the SCC owning that relation.
-  std::unordered_map<std::string, std::unordered_map<Tuple, Value, TupleHash>>
-      lattice_best_;
+  // Best-value tables of the lattice relations. The map itself is
+  // read-only after PrepareRelations; each table is only ever touched by
+  // the SCC owning its relation (by that SCC's merge task, then by its
+  // compaction), so tables need no lock.
+  std::unordered_map<const Relation*, LatticeTable> lattices_;
   std::mutex stats_mutex_;  // guards *stats_ merges from SCC tasks
 };
 
@@ -615,9 +744,9 @@ Status Evaluation::PrepareRelations() {
                               db_->CreateRelation(std::move(schema)));
       relations_[decl.name] = rel;
     }
-    if (decl.lattice != LatticeKind::kNone) {
-      lattice_kind_[decl.name] = decl.lattice;
-      lattice_best_[decl.name] = {};
+    if (decl.lattice != LatticeKind::kNone && decl.arity() > 0) {
+      lattices_.emplace(relations_.at(decl.name),
+                        LatticeTable(decl.lattice, decl.arity() - 1));
     }
   }
   // Rules must not define input relations.
@@ -1164,13 +1293,14 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
       }
     }
 #endif
-    auto lk = lattice_kind_.find(rel->name());
-    if (lk == lattice_kind_.end()) {
+    // Both paths build one columnar run in the first buffer — which keeps
+    // its column capacity for the next round — and hand it to the
+    // columnar dedup primitive; no row tuples are built.
+    std::vector<std::vector<Value>>& base = (*buffers)[runs[0]].staged;
+    auto lattice = lattices_.find(rel);
+    if (lattice == lattices_.end()) {
       // Concatenate later runs onto the first, column by column, in task
-      // order (a no-op in the common one-task case), then hand the run to
-      // the columnar dedup primitive — no row tuples are built. The first
-      // buffer keeps its column capacity for the next round.
-      std::vector<std::vector<Value>>& base = (*buffers)[runs[0]].staged;
+      // order (a no-op in the common one-task case).
       size_t total = 0;
       for (size_t i : runs) total += (*buffers)[i].staged_rows;
       for (std::vector<Value>& col : base) col.reserve(total);
@@ -1180,44 +1310,33 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
           base[c].insert(base[c].end(), more[c].begin(), more[c].end());
         }
       }
-      Result<size_t> r = rel->InsertColumns(&base);
-      if (r.ok()) {
-        inserted[g] = *r;
-      } else {
-        statuses[g] = r.status();
-      }
-      return;
-    }
-    // Batched lattice pass: a staged row survives only if it improves the
-    // best value for its key prefix, with the best map advancing through
-    // the run so intra-batch supersedes work exactly like the old
-    // tuple-at-a-time merge. Survivors are staged column-wise.
-    const size_t arity = (*buffers)[runs[0]].staged.size();
-    std::vector<std::vector<Value>> batch(arity);
-    auto& best = lattice_best_.find(rel->name())->second;
-    for (size_t i : runs) {
-      const std::vector<std::vector<Value>>& cols = (*buffers)[i].staged;
-      for (size_t row = 0; row < (*buffers)[i].staged_rows; ++row) {
-        Tuple prefix;
-        prefix.reserve(arity - 1);
-        for (size_t c = 0; c + 1 < arity; ++c) prefix.push_back(cols[c][row]);
-        Value candidate = cols[arity - 1][row];
-        auto it = best.find(prefix);
-        bool improves =
-            it == best.end() ||
-            (lk->second == LatticeKind::kMin
-                 ? CompareValues(candidate, it->second, db_->symbols()) < 0
-                 : CompareValues(candidate, it->second, db_->symbols()) > 0);
-        if (!improves) continue;
-        if (it == best.end()) {
-          best.emplace(std::move(prefix), candidate);
-        } else {
-          it->second = candidate;
+    } else {
+      // Lattice pass: a staged row survives only if it improves its key's
+      // best value, with the table advancing through the runs in task
+      // order, so a later candidate in the same batch can supersede an
+      // earlier one. Survivors of the first run are compacted in place;
+      // later runs' survivors are appended behind them.
+      LatticeTable& table = lattice->second;
+      size_t kept = 0;
+      for (size_t k = 0; k < runs.size(); ++k) {
+        const EmitBuffer& run = (*buffers)[runs[k]];
+        for (size_t row = 0; row < run.staged_rows; ++row) {
+          if (!table.Offer(run.staged, row, db_->symbols())) continue;
+          for (size_t c = 0; c < base.size(); ++c) {
+            if (k == 0) {
+              base[c][kept] = run.staged[c][row];
+            } else {
+              base[c].push_back(run.staged[c][row]);
+            }
+          }
+          ++kept;
         }
-        for (size_t c = 0; c < arity; ++c) batch[c].push_back(cols[c][row]);
+        if (k == 0) {
+          for (std::vector<Value>& col : base) col.resize(kept);
+        }
       }
     }
-    Result<size_t> r = rel->InsertColumns(&batch);
+    Result<size_t> r = rel->InsertColumns(&base);
     if (r.ok()) {
       inserted[g] = *r;
     } else {
@@ -1331,6 +1450,7 @@ Status Evaluation::EvaluateScc(SccWork* work) {
     Status s = EvaluateVariants(variants, snapshot, {}, &staged, &scc_stats);
     if (s.ok()) s = apply_staged();
     if (s.ok()) s = guard_checkpoint();
+    if (s.ok()) CompactLattices(*work, slot);
     merge_stats();
     return s;
   }
@@ -1414,27 +1534,37 @@ Status Evaluation::EvaluateScc(SccWork* work) {
     if (slot != nullptr) slot->round_delta_sizes.push_back(last_inserted);
   }
 
-  // Compact lattice relations: drop rows superseded by better values.
-  for (const std::string& pred : scc_preds) {
-    auto lk = lattice_kind_.find(pred);
-    if (lk == lattice_kind_.end()) continue;
-    Relation* rel = relations_.at(pred);
-    const auto& best = lattice_best_.at(pred);
-    std::vector<Tuple> compacted;
-    compacted.reserve(best.size());
-    for (const auto& [prefix, value] : best) {
-      Tuple row = prefix;
-      row.push_back(value);
-      compacted.push_back(std::move(row));
-    }
-    Status replaced = rel->ReplaceRows(std::move(compacted));
-    if (!replaced.ok()) {
-      merge_stats();
-      return replaced;
-    }
-  }
+  CompactLattices(*work, slot);
   merge_stats();
   return Status::OK();
+}
+
+void Evaluation::CompactLattices(const SccWork& work, obs::SccMetrics* slot) {
+  for (const std::string& pred : work.preds) {
+    Relation* rel = relations_.at(pred);
+    auto lattice = lattices_.find(rel);
+    if (lattice == lattices_.end()) continue;
+    LatticeTable& table = lattice->second;
+    size_t dropped = 0;
+    // Every key has at least one row, so as many rows as keys means no
+    // row was ever superseded: nothing to drop, no span, no scan.
+    if (table.entries() != rel->size()) {
+      obs::TraceScope span("datalog.lattice_compact");
+      std::vector<Relation::ColumnView> cols;
+      cols.reserve(rel->arity());
+      for (size_t c = 0; c < rel->arity(); ++c) cols.push_back(rel->Column(c));
+      std::vector<uint8_t> dead(rel->size(), 0);
+      for (size_t row = 0; row < dead.size(); ++row) {
+        dead[row] = table.HoldsBest(cols, row) ? 0 : 1;
+      }
+      dropped = rel->EraseRows(dead);
+    }
+    if (slot != nullptr) {
+      slot->lattice_candidates += table.candidates;
+      slot->lattice_improvements += table.improvements;
+      slot->lattice_dropped += dropped;
+    }
+  }
 }
 
 Status Evaluation::Run() {

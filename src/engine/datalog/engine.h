@@ -3,8 +3,8 @@
 
 // Bottom-up Datalog engine executing DLIR programs against a Database.
 //
-// This is Raqlet's stand-in for Soufflé (see DESIGN.md §2): stratified
-// semi-naive evaluation over indexed relations.
+// This is Raqlet's stand-in for Soufflé (see docs/architecture.md):
+// stratified semi-naive evaluation over indexed relations.
 //
 //  * Strata are the SCCs of the predicate dependency graph in topological
 //    order; negation and aggregation may not cross into their own SCC
@@ -18,7 +18,12 @@
 //    column) merge instead of union: an insert only "counts" if it
 //    improves the best value for the key prefix. This gives terminating
 //    shortest-path recursion on cyclic graphs (Datalog^o-style monotone
-//    aggregation).
+//    aggregation). The merge probes a flat prefix table (key prefix ->
+//    best value) straight from the staged columns, advancing through each
+//    batch in task order so later rows supersede earlier ones. At the end
+//    of the SCC, and only if some row was superseded (more rows than
+//    keys), compaction drops the rows that no longer hold their key's
+//    best; the survivors keep their insertion order.
 //  * With num_threads > 1, execution runs on the raqlet_runtime layer:
 //    independent SCCs are scheduled concurrently, and within one fixpoint
 //    round each rule variant's outer join range is partitioned across the

@@ -4,7 +4,8 @@
 // Graph engine: interprets PGIR directly over the adjacency-list
 // GraphStore, Neo4j-style — a binding table grows clause by clause, edge
 // patterns expand via pointer traversal, variable-length and shortest
-// paths run BFS. This is the Table 1 "Neo4j" stand-in (DESIGN.md §2).
+// paths run BFS. This is the Table 1 "Neo4j" stand-in (see
+// docs/architecture.md, "The three engines").
 //
 // Two execution modes share the traversal machinery (adjacency walks and
 // the memoized reachability closure) but differ in how the binding table

@@ -4,7 +4,8 @@
 // In-memory property-graph store: label-partitioned nodes with property
 // lookup by id, and forward/backward adjacency lists per edge type. Built
 // from the same Database the other engines query, so all three paradigms
-// see identical data (DESIGN.md §2: Neo4j stand-in substrate).
+// see identical data (the Neo4j stand-in's substrate; see
+// docs/architecture.md, "The three engines").
 //
 // The store is immutable after Build and holds no locks: the graph
 // executor (either binding-table mode, see engine/graph/executor.h) only

@@ -2,7 +2,8 @@
 #define RAQLET_ENGINE_SQL_EXECUTOR_H_
 
 // SQL/CTE executor for SQIR programs — Raqlet's stand-in for the
-// relational engines of Table 1 (DESIGN.md §2).
+// relational engines of Table 1 (docs/architecture.md, "The three
+// engines").
 //
 // CTEs materialize in dependency order. WITH RECURSIVE follows SQL:1999
 // semantics: the recursive term sees the *working table* (rows added in

@@ -3,7 +3,8 @@
 
 // Runtime value operations shared by the Datalog, SQL and graph engines,
 // so that all three paradigms agree on comparison and arithmetic
-// semantics (a prerequisite for differential testing, DESIGN.md §5).
+// semantics (a prerequisite for differential testing; see
+// docs/architecture.md, "The determinism invariant").
 
 #include <set>
 #include <string>

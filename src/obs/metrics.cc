@@ -57,6 +57,11 @@ std::string QueryMetrics::ToString() const {
         }
         os << "]";
       }
+      if (scc.lattice_candidates > 0) {
+        os << " lattice_candidates=" << scc.lattice_candidates
+           << " lattice_improved=" << scc.lattice_improvements
+           << " lattice_dropped=" << scc.lattice_dropped;
+      }
       os << "\n";
     }
   }

@@ -53,6 +53,13 @@ struct SccMetrics {
   /// round_delta_sizes.size() == rounds + 1 and the last entry is 0 (the
   /// empty delta that ended the fixpoint). Empty for non-recursive SCCs.
   std::vector<size_t> round_delta_sizes;
+  /// Lattice merge of the SCC's @min/@max relations (all 0 without one):
+  /// staged candidates offered to the best-value tables, candidates that
+  /// improved their key's best (new keys included), and rows dropped by
+  /// the end-of-SCC compaction because a later candidate superseded them.
+  size_t lattice_candidates = 0;
+  size_t lattice_improvements = 0;
+  size_t lattice_dropped = 0;
   int64_t micros = 0;  // wall time of this SCC (non-deterministic)
 };
 

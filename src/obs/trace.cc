@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 namespace raqlet::obs {
 
@@ -24,6 +25,13 @@ struct TlsSlot {
 };
 
 thread_local TlsSlot tls_slot;
+
+// Span lifetime bookkeeping (see TraceSession::Enter / Leave): spans open
+// process-wide and on this thread, and the generation of the session that
+// is alive for recording (0 once its destructor finished waiting).
+std::atomic<int64_t> g_open_spans{0};
+thread_local int64_t tls_open_spans = 0;
+std::atomic<uint64_t> g_live_generation{0};
 
 void AppendJsonEscaped(const std::string& s, std::ostream& os) {
   for (char c : s) {
@@ -59,6 +67,9 @@ TraceSession::TraceSession()
       generation_(g_session_generation.fetch_add(1,
                                                  std::memory_order_relaxed) +
                   1) {
+  // Live before installed: a span that finds this session installed also
+  // finds it live, so none of its events is dropped.
+  g_live_generation.store(generation_, std::memory_order_release);
   TraceSession* expected = nullptr;
   if (!current_.compare_exchange_strong(expected, this,
                                         std::memory_order_release)) {
@@ -70,7 +81,46 @@ TraceSession::TraceSession()
 }
 
 TraceSession::~TraceSession() {
-  current_.store(nullptr, std::memory_order_release);
+  // Dekker-style handshake with Enter: a span either counts itself in
+  // g_open_spans before it can observe this session installed, or it
+  // observes the session gone. So once the session is uninstalled, every
+  // span that could still touch it is counted, and the wait below covers
+  // all of them except the calling thread's own.
+  current_.store(nullptr, std::memory_order_seq_cst);
+  while (g_open_spans.load(std::memory_order_seq_cst) != tls_open_spans) {
+    std::this_thread::yield();
+  }
+  // The calling thread's still-open spans see this and drop their events.
+  uint64_t expected = generation_;
+  g_live_generation.compare_exchange_strong(expected, 0,
+                                            std::memory_order_acq_rel);
+}
+
+TraceSession* TraceSession::Enter() {
+  g_open_spans.fetch_add(1, std::memory_order_seq_cst);
+  TraceSession* session = current_.load(std::memory_order_seq_cst);
+  if (session == nullptr) {
+    g_open_spans.fetch_sub(1, std::memory_order_release);
+    return nullptr;
+  }
+  ++tls_open_spans;
+  return session;
+}
+
+void TraceSession::Leave(TraceSession* session, uint64_t generation,
+                         const char* label, int64_t index, int64_t start_us) {
+  // Only this thread can have destroyed the session under an open span
+  // (the destructor waits for every other thread's), so this check
+  // cannot race with the destruction.
+  if (g_live_generation.load(std::memory_order_acquire) == generation) {
+    int64_t end_us = session->NowMicros();
+    std::string name = index >= 0
+                           ? std::string(label) + " " + std::to_string(index)
+                           : std::string(label);
+    session->Record(std::move(name), start_us, end_us - start_us);
+  }
+  --tls_open_spans;
+  g_open_spans.fetch_sub(1, std::memory_order_release);
 }
 
 TraceSession::ThreadBuffer* TraceSession::BufferForThisThread() {

@@ -34,6 +34,12 @@
 // call aborts); export must happen at a quiescent point — after every
 // thread that recorded spans has finished its work — which all callers
 // (CLI, tests, benches) naturally satisfy by exporting after Run returns.
+//
+// A span never outlives its session. Pool threads can still be closing a
+// span (the worker's "pool.task" wrapper) after the call that used them
+// returned, so ~TraceSession waits for every span other threads opened
+// under it to close. Spans the destroying thread itself still has open are
+// dropped instead: waiting for them would wait forever.
 
 #include <atomic>
 #include <chrono>
@@ -60,7 +66,9 @@ class TraceSession {
  public:
   /// Installs this session as the process-wide current session.
   TraceSession();
-  /// Uninstalls. Spans still open when the session dies are dropped.
+  /// Uninstalls, then waits until every span opened under this session on
+  /// another thread has closed. Spans still open on the calling thread
+  /// are dropped.
   ~TraceSession();
 
   TraceSession(const TraceSession&) = delete;
@@ -71,6 +79,20 @@ class TraceSession {
   static TraceSession* Current() {
     return current_.load(std::memory_order_relaxed);
   }
+
+  /// Registers an opening span: returns the installed session, kept alive
+  /// until the matching Leave, or nullptr (nothing to Leave) when none is
+  /// installed any more.
+  static TraceSession* Enter();
+  /// Closes a span opened by Enter at `start_us`, named "label" or, with
+  /// index >= 0, "label index": records it unless the span's own thread
+  /// destroyed the session under it, then releases the session.
+  static void Leave(TraceSession* session, uint64_t generation,
+                    const char* label, int64_t index, int64_t start_us);
+
+  /// Identifies this session among all sessions ever created in the
+  /// process (a later session may reuse this one's address).
+  uint64_t generation() const { return generation_; }
 
   /// Records one completed span on the calling thread's buffer.
   void Record(std::string name, int64_t ts_us, int64_t dur_us);
@@ -120,15 +142,13 @@ class TraceSession {
 /// allocation-free while tracing is off.
 class TraceScope {
  public:
-  explicit TraceScope(const char* name) : session_(TraceSession::Current()) {
-    if (session_ == nullptr) return;
-    name_ = name;
-    start_us_ = session_->NowMicros();
-  }
+  explicit TraceScope(const char* name) : TraceScope(name, -1) {}
 
-  TraceScope(const char* label, int64_t index)
-      : session_(TraceSession::Current()) {
+  TraceScope(const char* label, int64_t index) {
+    if (TraceSession::Current() == nullptr) return;  // tracing off
+    session_ = TraceSession::Enter();
     if (session_ == nullptr) return;
+    generation_ = session_->generation();
     name_ = label;
     index_ = index;
     start_us_ = session_->NowMicros();
@@ -139,11 +159,7 @@ class TraceScope {
 
   ~TraceScope() {
     if (session_ == nullptr) return;
-    int64_t end_us = session_->NowMicros();
-    std::string full = index_ >= 0
-                           ? std::string(name_) + " " + std::to_string(index_)
-                           : std::string(name_);
-    session_->Record(std::move(full), start_us_, end_us - start_us_);
+    TraceSession::Leave(session_, generation_, name_, index_, start_us_);
   }
 
   /// True when a session is installed. For call sites that want to skip
@@ -151,7 +167,8 @@ class TraceScope {
   static bool Enabled() { return TraceSession::Current() != nullptr; }
 
  private:
-  TraceSession* session_;
+  TraceSession* session_ = nullptr;
+  uint64_t generation_ = 0;
   const char* name_ = nullptr;
   int64_t index_ = -1;
   int64_t start_us_ = 0;

@@ -250,19 +250,28 @@ Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
     }
   }
   if (dead_rows.empty()) return static_cast<size_t>(0);
-  // Phase 2: compact the columns (survivors keep relative order) and
-  // rebuild the dedup table from the survivors. Indexes and the boxed row
-  // cache are watermark-folded structures keyed by now-shifted row
-  // indices, so they are dropped wholesale (see the deletion contract in
-  // the header).
+  // Phase 2: the order-preserving compaction.
   std::vector<uint8_t> dead(row_count_, 0);
   for (uint32_t r : dead_rows) dead[r] = 1;
+  return EraseRows(dead);
+}
+
+size_t Relation::EraseRows(const std::vector<uint8_t>& dead) {
+  const size_t erased =
+      static_cast<size_t>(std::count_if(dead.begin(), dead.end(),
+                                        [](uint8_t d) { return d != 0; }));
+  if (erased == 0) return 0;
+  // Compact the columns (survivors keep relative order) and rebuild the
+  // dedup table from the survivors. Indexes and the boxed row cache are
+  // watermark-folded structures keyed by now-shifted row indices, so they
+  // are dropped wholesale (see the deletion contract in the header).
   for (ValueColumn& c : columns_) c.EraseRows(dead);
-  row_count_ -= dead_rows.size();
+  row_count_ -= erased;
   index_cache_.clear();
   row_cache_.clear();
   rows_cached_ = 0;
   std::fill(dedup_slots_.begin(), dedup_slots_.end(), DedupSlot{});
+  const size_t mask = dedup_slots_.size() - 1;
   for (uint32_t i = 0; i < row_count_; ++i) {
     size_t h = columns_.size();
     for (const ValueColumn& c : columns_) {
@@ -273,7 +282,7 @@ Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
     while (dedup_slots_[pos].row != kEmptySlot) pos = (pos + 1) & mask;
     dedup_slots_[pos] = DedupSlot{h32, i};
   }
-  return dead_rows.size();
+  return erased;
 }
 
 std::vector<Tuple> Relation::ReleaseRows() {
@@ -334,14 +343,6 @@ Relation::ColumnView Relation::ColumnSlice(size_t col, size_t begin,
   v.kind_ = c.uniform_kind();
   v.size_ = end - begin;
   return v;
-}
-
-Status Relation::ReplaceRows(std::vector<Tuple> rows) {
-  Clear();
-  // Unreachable in practice — the batch is bounded by a previous row count
-  // that already fit — but reported as a Status all the same (PR 6's
-  // Status-over-abort discipline).
-  return InsertBatch(std::move(rows)).status();
 }
 
 void Relation::Clear() {

@@ -65,11 +65,11 @@ struct RelationSchema {
 /// Column(c) / ColumnSlice(c, begin, end) return zero-copy ColumnView
 /// handles into the live column arrays. A borrowed view is valid only
 /// until the next mutation of the relation (Insert / InsertBatch /
-/// InsertColumns / EraseBatch / Clear / ReplaceRows / ReleaseRows),
-/// exactly like the
-/// KeyIndex pointer returned by EnsureIndex: mutations may reallocate the
-/// underlying arrays or materialize a kind sidecar. Executors therefore
-/// re-borrow at plan/batch-build time each round, never across rounds.
+/// InsertColumns / EraseBatch / EraseRows / Clear / ReleaseRows), exactly
+/// like the KeyIndex pointer returned by EnsureIndex: mutations may
+/// reallocate the underlying arrays or materialize a kind sidecar.
+/// Executors therefore re-borrow at plan/batch-build time each round, never
+/// across rounds.
 ///
 /// ## Threading contract (single writer / multiple readers)
 ///
@@ -208,6 +208,13 @@ class Relation {
   /// insert paths and for fault injection ("storage.erase_batch").
   Result<size_t> EraseBatch(const std::vector<Tuple>& batch);
 
+  /// Deletes every row r with dead[r] != 0 (`dead` has size() entries)
+  /// and returns the number erased: the order-preserving compaction behind
+  /// EraseBatch, for callers that already know which rows go by position
+  /// (the Datalog engine's lattice compaction), so no tuple is boxed to
+  /// name them. Same deletion contract as EraseBatch.
+  size_t EraseRows(const std::vector<uint8_t>& dead);
+
   /// Materializes all rows, moves them out, and leaves the relation empty
   /// (schema kept; columns, dedup table and cached indexes dropped). For
   /// callers that use a scratch Relation purely as a batch deduplicator —
@@ -265,12 +272,6 @@ class Relation {
   /// engine calls this once per plan step at plan-build time, so the inner
   /// join loops pay neither the lock nor the cache lookup.
   const KeyIndex* EnsureIndex(const std::vector<int>& key_columns) const;
-
-  /// Replaces the contents of this relation with `rows` (deduplicated).
-  /// Used by the engine to compact lattice relations at stratum boundaries.
-  /// On error (row-index overflow — unreachable when `rows` came from this
-  /// relation) the relation is left cleared.
-  Status ReplaceRows(std::vector<Tuple> rows);
 
   /// Bytes of heap held by the column arrays, kind sidecars, dedup table,
   /// and (estimated) the row-compatibility cache if it has been

@@ -1,8 +1,9 @@
-// Cross-paradigm differential tests (DESIGN.md §5): the same Cypher query,
-// compiled through Raqlet, must produce identical result sets on the
-// graph engine (PGIR traversal), the Datalog engine (semi-naive bottom-up)
-// and the SQL engine (CTE materialization, both modes) — and the
-// optimization pipeline must not change any of them. This is the
+// Cross-paradigm differential tests (docs/architecture.md, "The
+// determinism invariant"): the same Cypher query, compiled through Raqlet,
+// must produce identical result sets on the graph engine (PGIR traversal),
+// the Datalog engine (semi-naive bottom-up) and the SQL engine (CTE
+// materialization, both modes) — and the optimization pipeline must not
+// change any of them. This is the
 // machine-checkable core of the paper's "golden reference" claim (§6).
 
 #include <gtest/gtest.h>

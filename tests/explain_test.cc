@@ -157,6 +157,26 @@ TEST(ExplainTest, ExplainAnalyzeAnnotatesStrata) {
   EXPECT_NE(text->find("datalog"), std::string::npos);
 }
 
+TEST(ExplainTest, ExplainAnalyzeShowsLatticeCounters) {
+  Program program = Parse(kTc);
+  obs::QueryMetrics metrics;
+  metrics.datalog.sccs.resize(2);
+  obs::SccMetrics& tc = metrics.datalog.sccs[1];
+  tc.preds = {"tc"};
+  tc.recursive = true;
+  auto plain = ExplainAnalyzeProgram(program, metrics);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->find("ACTUAL LATTICE"), std::string::npos);
+
+  tc.lattice_candidates = 9;
+  tc.lattice_improvements = 7;
+  tc.lattice_dropped = 1;
+  auto text = ExplainAnalyzeProgram(program, metrics);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("ACTUAL LATTICE candidates=9 improved=7 dropped=1"),
+            std::string::npos);
+}
+
 TEST(ExplainTest, ExplainAnalyzeToleratesMissingSlots) {
   // Metrics from another engine (no datalog slots): the plan renders
   // unannotated instead of failing.

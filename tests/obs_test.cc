@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "raqlet/compiler.h"
+#include "runtime/thread_pool.h"
 #include "sqir/dlir_to_sqir.h"
 #include "storage/database.h"
 
@@ -143,6 +145,31 @@ TEST(ObsTraceTest, ConcurrentEmissionCountsEverySpan) {
   }
 }
 
+TEST(ObsTraceTest, SessionOutlivesPoolWorkerSpans) {
+  // ParallelFor can return while a helper is still closing its
+  // "pool.task" span; destroying the session right after must wait for
+  // that span instead of letting it record into freed memory.
+  runtime::ThreadPool pool(2);
+  for (int i = 0; i < 20000; ++i) {
+    obs::TraceSession session;
+    pool.ParallelFor(3, [](size_t) {});
+  }
+  EXPECT_EQ(obs::TraceSession::Current(), nullptr);
+}
+
+TEST(ObsTraceTest, SpanOpenWhenItsThreadEndsTheSessionIsDropped) {
+  auto session = std::make_unique<obs::TraceSession>();
+  {
+    obs::TraceScope span("outlives.session");
+    session.reset();  // must not wait for this thread's own open span
+  }
+  obs::TraceSession next;
+  { obs::TraceScope span("next"); }
+  std::vector<obs::TraceEvent> events = next.Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "next");
+}
+
 TEST(ObsTraceTest, TracingIsResultNeutral) {
   Database traced_db = MakeGraphDb({{1, 2}, {2, 3}, {3, 4}, {4, 2}});
   Database plain_db = MakeGraphDb({{1, 2}, {2, 3}, {3, 4}, {4, 2}});
@@ -212,6 +239,45 @@ TEST(ObsMetricsTest, DatalogCountersMatchAcrossThreadCounts) {
     EXPECT_EQ(serial.sccs[i].round_delta_sizes,
               parallel.sccs[i].round_delta_sizes);
   }
+}
+
+TEST(ObsMetricsTest, DatalogLatticeCountersAndCompactionSpan) {
+  // An edge x->y first costs x * y. Exit batch: 5 candidates, all new
+  // keys. Round 1 offers (1,3,3) — a tie, rejected — plus (4,2,5), a new
+  // key, and (4,3,5), which supersedes (4,3,12). Round 2 offers (4,3,6),
+  // rejected. Compaction then drops (4,3,12).
+  constexpr char kWeighted[] = R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl dist(x: number, y: number, d: number) @min
+.output dist
+dist(x, y, x * y) :- edge(x, y).
+dist(x, y, d + 1) :- dist(x, z, d), edge(z, y).
+)";
+  Database db = MakeGraphDb({{1, 2}, {2, 3}, {1, 3}, {4, 1}, {4, 3}});
+  DatalogEngine eng;
+  obs::DatalogMetrics metrics;
+  obs::TraceSession session;
+  ASSERT_TRUE(eng.Run(Parse(kWeighted), &db, nullptr, &metrics).ok());
+  const obs::SccMetrics& dist = metrics.sccs.back();
+  ASSERT_EQ(dist.preds, std::vector<std::string>{"dist"});
+  EXPECT_EQ(dist.lattice_candidates, 9u);
+  EXPECT_EQ(dist.lattice_improvements, 7u);
+  EXPECT_EQ(dist.lattice_dropped, 1u);
+  EXPECT_EQ((*db.GetRelation("dist"))->size(), 6u);
+  EXPECT_TRUE((*db.GetRelation("dist"))
+                  ->Contains({Value::Number(4), Value::Number(3),
+                              Value::Number(5)}));
+  bool saw_compact = false;
+  for (const obs::TraceEvent& e : session.Events()) {
+    saw_compact |= e.name == "datalog.lattice_compact";
+  }
+  EXPECT_TRUE(saw_compact);
+  obs::QueryMetrics report;
+  report.datalog = metrics;
+  EXPECT_NE(report.ToString().find(
+                "lattice_candidates=9 lattice_improved=7 lattice_dropped=1"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -288,6 +288,47 @@ TEST_P(ParallelDeterminismTest, RandomRecursivePrograms) {
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelDeterminismTest,
                          ::testing::Values(2, 4, 8));
 
+// A weighted @min lattice where cheaper paths often arrive after dearer
+// ones: entering node y costs y, so a longer detour through low node ids
+// can beat a shorter path found a round earlier, and one staged batch can
+// hold several costs for a key, a worse one first. The end-of-SCC
+// compaction then drops rows, and the survivors' insertion order must
+// not depend on threads.
+constexpr char kSupersedingLattice[] = R"(
+.decl node(x: number)
+.input node
+.decl edge(x: number, y: number)
+.input edge
+.decl cost(x: number, y: number, c: number) @min
+.output cost
+cost(x, y, y) :- edge(x, y).
+cost(x, y, c + y) :- cost(x, z, c), edge(z, y).
+)";
+
+class ParallelDeterminismLatticeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelDeterminismLatticeTest, SupersedingMinLattice) {
+  for (unsigned seed : {5u, 23u}) {
+    ExpectDeterministicEvaluation(kSupersedingLattice, GetParam(), seed);
+  }
+  // The shape really supersedes: compaction drops rows.
+  auto program = dlir::ParseProgram(kSupersedingLattice);
+  ASSERT_TRUE(program.ok());
+  auto db = MakeEdgeDb(*program, 40, 120, 5);
+  ASSERT_TRUE(db.ok());
+  engine::EvalOptions options;
+  options.num_threads = GetParam();
+  obs::DatalogMetrics metrics;
+  ASSERT_TRUE(
+      engine::DatalogEngine(options).Run(*program, &*db, nullptr, &metrics).ok());
+  size_t dropped = 0;
+  for (const obs::SccMetrics& scc : metrics.sccs) dropped += scc.lattice_dropped;
+  EXPECT_GT(dropped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelDeterminismLatticeTest,
+                         ::testing::Values(1, 2, 4));
+
 // The cross-engine harness's shape: random social graph, Cypher frontend,
 // every engine — with the Datalog engine additionally run at 4 threads.
 constexpr char kSocialSchema[] = R"(

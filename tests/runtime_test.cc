@@ -19,10 +19,13 @@ namespace raqlet::runtime {
 namespace {
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
   std::mutex mutex;
   std::condition_variable cv;
+  // Declared after what the tasks touch, so its destructor joins the
+  // workers before those die: the last task may still be notifying `cv`
+  // when the wait below already saw the final count.
+  ThreadPool pool(4);
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {

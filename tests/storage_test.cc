@@ -206,17 +206,6 @@ TEST(RelationTest, InsertBatchWatermarkSurvivesInterleavedIndexUse) {
   }
 }
 
-TEST(RelationTest, ReplaceRowsResets) {
-  Relation r(EdgeSchema());
-  r.Insert({Value::Number(1), Value::Number(2)});
-  r.GetIndex({0});
-  r.ReplaceRows({{Value::Number(7), Value::Number(8)},
-                 {Value::Number(7), Value::Number(8)}});
-  EXPECT_EQ(r.size(), 1u);
-  EXPECT_TRUE(r.Contains({Value::Number(7), Value::Number(8)}));
-  EXPECT_EQ(r.GetIndex({0}).size(), 1u);
-}
-
 TEST(RelationTest, EraseBatchCompactsKeepingRelativeOrder) {
   Relation r(EdgeSchema());
   for (int i = 0; i < 6; ++i) {
@@ -252,6 +241,26 @@ TEST(RelationTest, EraseBatchIgnoresAbsentWrongArityAndDuplicates) {
   EXPECT_EQ(r.EraseBatch({}).value(), 0u);
   r.EraseBatch({{Value::Number(1), Value::Number(2)}}).value();
   EXPECT_EQ(r.EraseBatch({{Value::Number(1), Value::Number(2)}}).value(), 0u);
+}
+
+TEST(RelationTest, EraseRowsByPositionKeepsOrderIndexesAndDedup) {
+  Relation r(EdgeSchema());
+  for (int i = 0; i < 5; ++i) {
+    r.Insert({Value::Number(i % 2), Value::Number(i)}).value();
+  }
+  r.EnsureIndex({0});
+  EXPECT_EQ(r.EraseRows({0, 0, 0, 0, 0}), 0u);  // nothing marked: no-op
+  EXPECT_EQ(r.EraseRows({1, 0, 0, 1, 0}), 2u);
+  std::vector<int64_t> dsts;
+  for (const Tuple& t : r.MaterializeRows()) dsts.push_back(t[1].AsNumber());
+  EXPECT_EQ(dsts, (std::vector<int64_t>{1, 2, 4}));
+  // The index is rebuilt over the shifted rows, and the dedup table knows
+  // the erased tuples are gone and the survivors are not.
+  EXPECT_EQ(r.EnsureIndex({0})->at(Tuple{Value::Number(0)}),
+            (std::vector<uint32_t>{1, 2}));
+  EXPECT_FALSE(r.Insert({Value::Number(0), Value::Number(2)}).value());
+  EXPECT_TRUE(r.Insert({Value::Number(0), Value::Number(0)}).value());
+  EXPECT_EQ(r.size(), 4u);
 }
 
 TEST(RelationTest, DeleteThenReinsertBehavesLikeFirstInsert) {

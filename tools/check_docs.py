@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Link-check the user docs so build commands and pointer maps can't rot.
 
-Two checks over README.md and docs/*.md (or any files passed on the
+Two checks over README.md and docs/*.md (or any .md files passed on the
 command line):
 
 1. Every relative markdown link [text](path) must resolve to an existing
@@ -14,6 +14,14 @@ command line):
    BENCH_pr10.json — must exist from the repo root. This is what catches
    prose like "see src/engine/graph/executor.cc" going stale after a
    rename.
+
+And one check over the C++ and Python sources under src/, tests/, bench/,
+examples/ and tools/ (or any other files passed on the command line):
+
+3. Every `*.md` path a source line names — in a comment or a user-facing
+   string — must exist, resolved from the repo root or else from the
+   source file's directory. This is what catches a header pointing at a
+   design document that was never written or has since moved.
 
 Exit code 0 when everything resolves, 1 with a per-finding report
 otherwise. CI runs this in the docs job.
@@ -34,6 +42,11 @@ PATH_PREFIXES = ("src/", "tests/", "bench/", "tools/", "examples/",
                  "docs/", ".github/")
 ROOT_FILE_RE = re.compile(
     r"^[A-Za-z0-9_.-]+\.(md|json|txt|py|yml|yaml)$")
+
+# A markdown path named in a source file, e.g. docs/architecture.md.
+MD_REF_RE = re.compile(r"(?<![\w./-])([\w./-]+\.md)(?![\w-])")
+SOURCE_DIRS = ("src", "tests", "bench", "examples", "tools")
+SOURCE_EXTS = (".h", ".cc", ".cpp", ".py")
 
 
 def check_file(md_path):
@@ -78,17 +91,44 @@ def check_file(md_path):
     return failures
 
 
+def check_source_file(path):
+    failures = []
+    base_dir = os.path.dirname(os.path.abspath(path))
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            for match in MD_REF_RE.finditer(line):
+                ref = match.group(1)
+                if not any(os.path.exists(os.path.normpath(os.path.join(d, ref)))
+                           for d in (REPO_ROOT, base_dir)):
+                    failures.append(
+                        f"{path}:{lineno}: dead document reference '{ref}'")
+    return failures
+
+
+def source_files():
+    files = []
+    for top in SOURCE_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(REPO_ROOT, top)):
+            files += [os.path.join(dirpath, n) for n in names
+                      if n.endswith(SOURCE_EXTS)]
+    return sorted(files)
+
+
 def main():
     files = sys.argv[1:]
     if not files:
         files = [os.path.join(REPO_ROOT, "README.md")]
         files += sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+        files += source_files()
     failures = []
     for path in files:
         if not os.path.exists(path):
             failures.append(f"{path}: file not found")
             continue
-        failures.extend(check_file(path))
+        if path.endswith(".md"):
+            failures.extend(check_file(path))
+        else:
+            failures.extend(check_source_file(path))
     if failures:
         for failure in failures:
             print(failure)
