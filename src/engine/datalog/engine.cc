@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,6 +20,7 @@
 #include "runtime/failpoint.h"
 #include "runtime/scc_scheduler.h"
 #include "runtime/thread_pool.h"
+#include "storage/merge.h"
 
 namespace raqlet::engine {
 
@@ -158,6 +161,11 @@ struct PlanStep {
   // plans are rebuilt (and columns re-borrowed) every round, and no
   // relation mutates while tasks run.
   std::vector<Relation::ColumnView> cols;
+  // The atom's visible rows, [row_begin, row_end) (kJoinAtom / kNegCheck):
+  // the round's snapshot size and, for the delta atom, the delta start.
+  // Resolved with `index`, so the join loops look up no relation names.
+  size_t row_begin = 0;
+  size_t row_end = 0;
 };
 
 struct VariantPlan {
@@ -363,126 +371,195 @@ struct AggState {
 
 // ---------------------------------------------------------------------------
 // Lattice merge: one best-value table per lattice relation, keyed by the
-// key prefix (every column but the last). A flat open-addressing table of
-// (hash32, entry) slots over key/value arrays — the same shape as
-// Relation's dedup table — so a staged candidate is hashed and compared
-// straight from its staging columns, and no key is ever boxed as a Tuple.
+// key prefix (every column but the last). The table is split into the
+// fixed ShardedRuns::kShards key-hash shards; each shard is a flat
+// open-addressing table of (hash32, entry) slots over key/value records —
+// the same shape as Relation's dedup table — so a staged candidate is
+// hashed and compared straight from its staging columns, and no key is
+// ever boxed as a Tuple.
 // ---------------------------------------------------------------------------
 
 class LatticeTable {
  public:
-  LatticeTable(LatticeKind kind, size_t key_arity)
-      : kind_(kind), key_arity_(key_arity), stride_(key_arity + 1) {}
+  LatticeTable() : shards_(ShardedRuns::kShards) {}
 
-  // Offers staged row `row` of `cols` (cols[c][row], key prefix first,
-  // lattice value last). Returns true — and makes it its key's best —
-  // iff the key is new or the value strictly improves the current best.
-  bool Offer(const std::vector<std::vector<Value>>& cols, size_t row,
-             const SymbolTable& symbols) {
-    ++candidates;
-    auto key = [&](size_t c) -> const Value& { return cols[c][row]; };
-    const Value& value = cols[key_arity_][row];
-    const uint32_t h32 = KeyHash(key);
-    size_t pos = 0;
-    uint32_t entry = Find(key, h32, &pos);
-    if (entry == kEmpty) {
-      if (Grow(entries() + 1)) Find(key, h32, &pos);  // re-seat the probe
-      slots_[pos] = Slot{h32, static_cast<uint32_t>(entries())};
-      for (size_t c = 0; c < key_arity_; ++c) records_.push_back(key(c));
-      records_.push_back(value);
-    } else {
-      Value& best = records_[entry * stride_ + key_arity_];
-      int cmp = CompareValues(value, best, symbols);
-      if (kind_ == LatticeKind::kMin ? cmp >= 0 : cmp <= 0) return false;
-      best = value;
+  // Empties the table for a relation of `key_arity` key columns. Tables
+  // are recycled across evaluations through the execution context's
+  // object pool, so the records, slot arrays and partition scratch keep
+  // the capacity the last evaluation grew them to.
+  void Reset(LatticeKind kind, size_t key_arity) {
+    kind_ = kind;
+    key_arity_ = key_arity;
+    stride_ = key_arity + 1;
+    for (Shard& shard : shards_) {
+      shard.records.clear();
+      std::fill(shard.slots.begin(), shard.slots.end(), HashSlot{});
     }
-    ++improvements;
-    return true;
+    candidates = 0;
+    improvements = 0;
+  }
+
+  // Keeps, in every run, only the rows that improve their key's best
+  // value, and makes each survivor its key's best. Rows are offered in
+  // global (run, row) order, so a later candidate of the same batch can
+  // supersede an earlier one. With `parallel_for` and a big batch, the
+  // candidates are partitioned by key hash (storage/merge.h) and every
+  // shard offers its own candidates, in order, to its own sub-table: a
+  // key never spans two shards, so the survivors, the bests and the
+  // counters are exactly the serial ones.
+  void Filter(const std::vector<StagedRun*>& runs, const SymbolTable& symbols,
+              const ParallelForFn& parallel_for) {
+    size_t n = 0;
+    for (const StagedRun* run : runs) n += StagedRows(*run);
+    if (n == 0) return;
+    candidates += n;
+    auto key_hash = [this](const StagedRun& run, size_t row) {
+      return KeyHash([&](size_t c) -> const Value& { return run[c][row]; });
+    };
+    if (parallel_for == nullptr || n < ShardedRuns::kMinRows) {
+      for (StagedRun* run_ptr : runs) {
+        StagedRun& run = *run_ptr;
+        const size_t rows = StagedRows(run);
+        size_t kept = 0;
+        for (size_t row = 0; row < rows; ++row) {
+          const uint32_t h32 = key_hash(run, row);
+          Shard& shard = shards_[ShardedRuns::ShardOf(h32)];
+          if (!Offer(&shard, run, row, h32, symbols)) continue;
+          for (std::vector<Value>& col : run) col[kept] = col[row];
+          ++kept;
+        }
+        for (std::vector<Value>& col : run) col.resize(kept);
+        improvements += kept;
+      }
+      return;
+    }
+    sharded_.Build(runs, key_hash, parallel_for);
+    ForEachIndex(parallel_for, ShardedRuns::kShards, [&](size_t s) {
+      const std::span<const uint32_t> positions = sharded_.positions(s);
+      if (positions.empty()) return;
+      std::vector<uint32_t>& kept = sharded_.shard(s).picked;
+      // A shard's positions are scattered over the runs: prefetch each
+      // candidate's values a few positions ahead.
+      constexpr size_t kAhead = 8;
+      size_t r = sharded_.RunOf(positions.front());
+      size_t r_ahead = r;
+      for (size_t k = 0; k < positions.size(); ++k) {
+        if (k + kAhead < positions.size()) {
+          const uint32_t ahead = positions[k + kAhead];
+          while (ahead >= sharded_.RunStart(r_ahead + 1)) ++r_ahead;
+          for (const std::vector<Value>& col : *runs[r_ahead]) {
+            Prefetch(col.data() + (ahead - sharded_.RunStart(r_ahead)));
+          }
+        }
+        const uint32_t pos = positions[k];
+        while (pos >= sharded_.RunStart(r + 1)) ++r;
+        if (Offer(&shards_[s], *runs[r], pos - sharded_.RunStart(r),
+                  sharded_.hash(pos), symbols)) {
+          kept.push_back(pos);
+        }
+      }
+    });
+    improvements += sharded_.Picked();
+    sharded_.Compact(runs, parallel_for);
   }
 
   // True iff stored row `row` (read through `cols`, one view per column)
   // holds its key's current best value. Every admitted row went through
-  // Offer, so its key is always present.
+  // Filter, so its key is always present.
   bool HoldsBest(const std::vector<Relation::ColumnView>& cols,
                  size_t row) const {
     auto key = [&](size_t c) { return cols[c].at(row); };
+    const uint32_t h32 = KeyHash(key);
+    const Shard& shard = shards_[ShardedRuns::ShardOf(h32)];
     size_t pos = 0;
-    uint32_t entry = Find(key, KeyHash(key), &pos);
-    return entry == kEmpty ||
-           records_[entry * stride_ + key_arity_] == cols[key_arity_].at(row);
+    const uint32_t entry = Find(shard, key, h32, &pos);
+    return entry == HashSlot::kEmpty ||
+           shard.records[entry * stride_ + key_arity_] ==
+               cols[key_arity_].at(row);
   }
 
   // Number of distinct keys seen.
-  size_t entries() const { return records_.size() / stride_; }
+  size_t entries() const {
+    size_t total = 0;
+    for (const Shard& shard : shards_) total += shard.records.size() / stride_;
+    return total;
+  }
 
   // Deterministic work counters (see obs::SccMetrics).
   size_t candidates = 0;
   size_t improvements = 0;
 
  private:
-  struct Slot {
-    uint32_t hash = 0;
-    uint32_t entry = kEmpty;
+  // One key-hash shard. Cache-line aligned: concurrent Filter tasks grow
+  // neighbouring shards' vectors, and must not share their headers' line.
+  struct alignas(64) Shard {
+    // Entry e's key, then its best value: records[e * stride_ + c].
+    std::vector<Value> records;
+    std::vector<HashSlot> slots;  // (hash, entry); power-of-two size or 0
   };
-  static constexpr uint32_t kEmpty = 0xffffffffu;
-  static constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
   template <typename KeyFn>
   uint32_t KeyHash(KeyFn&& key) const {
-    size_t h = key_arity_;
-    for (size_t c = 0; c < key_arity_; ++c) {
-      h ^= key(c).Hash() + kGolden + (h << 6) + (h >> 2);
-    }
-    uint64_t x = static_cast<uint64_t>(h) * kGolden;
-    return static_cast<uint32_t>(x ^ (x >> 32));
+    uint64_t h = key_arity_;
+    for (size_t c = 0; c < key_arity_; ++c) h = HashCombine(h, key(c).Hash());
+    return FoldHash(h);
   }
 
-  // Returns the entry whose key equals key(0..key_arity_), or kEmpty with
-  // *pos at the insertion slot. An empty table reports kEmpty.
+  // Offers row `row` of `run` (key hash `h32`) to its key's shard. Returns
+  // true — and makes it its key's best — iff the key is new or the value
+  // strictly improves the current best.
+  bool Offer(Shard* shard, const StagedRun& run, size_t row, uint32_t h32,
+             const SymbolTable& symbols) const {
+    auto key = [&](size_t c) -> const Value& { return run[c][row]; };
+    const Value& value = run[key_arity_][row];
+    size_t pos = 0;
+    const uint32_t entry = Find(*shard, key, h32, &pos);
+    if (entry == HashSlot::kEmpty) {
+      const size_t entries = shard->records.size() / stride_;
+      if (ReserveHashSlots(&shard->slots, entries + 1)) {
+        pos = EmptyHashSlot(shard->slots, h32);
+      }
+      shard->slots[pos] = HashSlot{h32, static_cast<uint32_t>(entries)};
+      for (size_t c = 0; c < key_arity_; ++c) shard->records.push_back(key(c));
+      shard->records.push_back(value);
+      return true;
+    }
+    Value& best = shard->records[entry * stride_ + key_arity_];
+    const int cmp = CompareValues(value, best, symbols);
+    if (kind_ == LatticeKind::kMin ? cmp >= 0 : cmp <= 0) return false;
+    best = value;
+    return true;
+  }
+
+  // Returns the entry whose key equals key(0..key_arity_), or
+  // HashSlot::kEmpty with *pos at the insertion slot. An empty shard
+  // reports HashSlot::kEmpty.
   template <typename KeyFn>
-  uint32_t Find(KeyFn&& key, uint32_t h32, size_t* pos) const {
-    if (slots_.empty()) return kEmpty;
-    const size_t mask = slots_.size() - 1;  // size is a power of two
+  uint32_t Find(const Shard& shard, KeyFn&& key, uint32_t h32,
+                size_t* pos) const {
+    if (shard.slots.empty()) return HashSlot::kEmpty;
+    const size_t mask = shard.slots.size() - 1;  // size is a power of two
     for (size_t p = h32 & mask;; p = (p + 1) & mask) {
-      const Slot& slot = slots_[p];
-      if (slot.entry == kEmpty) {
+      const HashSlot& slot = shard.slots[p];
+      if (slot.index == HashSlot::kEmpty) {
         *pos = p;
-        return kEmpty;
+        return HashSlot::kEmpty;
       }
       if (slot.hash != h32) continue;
-      const Value* stored = records_.data() + slot.entry * stride_;
+      const Value* stored = shard.records.data() + slot.index * stride_;
       bool equal = true;
       for (size_t c = 0; c < key_arity_ && equal; ++c) {
         equal = stored[c] == key(c);
       }
-      if (equal) return slot.entry;
+      if (equal) return slot.index;
     }
   }
 
-  // Keeps the load factor at most 1/2 for `want` entries, rehashing from
-  // the cached hashes (no key is re-read). Returns true iff it rehashed.
-  bool Grow(size_t want) {
-    if (!slots_.empty() && want * 2 <= slots_.size()) return false;
-    size_t capacity = slots_.empty() ? 16 : slots_.size();
-    while (want * 2 > capacity) capacity *= 2;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(capacity, Slot{});
-    const size_t mask = capacity - 1;
-    for (const Slot& slot : old) {
-      if (slot.entry == kEmpty) continue;
-      size_t p = slot.hash & mask;
-      while (slots_[p].entry != kEmpty) p = (p + 1) & mask;
-      slots_[p] = slot;
-    }
-    return true;
-  }
-
-  LatticeKind kind_;
-  size_t key_arity_;
-  size_t stride_;  // key_arity_ + 1
-  // Entry e's key, then its best value: records_[e * stride_ + c].
-  std::vector<Value> records_;
-  std::vector<Slot> slots_;  // size is a power of two (or 0)
+  LatticeKind kind_ = LatticeKind::kMin;
+  size_t key_arity_ = 0;
+  size_t stride_ = 1;  // key_arity_ + 1
+  std::vector<Shard> shards_;  // ShardedRuns::kShards of them
+  ShardedRuns sharded_;  // Filter's partition, reused round after round
 };
 
 // ---------------------------------------------------------------------------
@@ -496,14 +573,17 @@ class LatticeTable {
 // staged values form a plain run for that relation, held column-wise
 // (one vector per head column, `staged_rows` rows) so emitting a derived
 // tuple appends values without allocating a row vector, and the merge
-// feeds Relation::InsertColumns directly. After a fan-out completes, runs
-// are applied per relation in deterministic task order (see
-// Evaluation::ApplyStaged); workers never touch a Relation's mutable
+// hands the runs to Relation::InsertRuns as they are. After a fan-out
+// completes, runs are applied per relation in deterministic task order
+// (see Evaluation::ApplyStaged); workers never touch a Relation's mutable
 // state. Buffers are recycled through an ObjectPool so their capacity
-// survives across fixpoint rounds.
+// survives across fixpoint rounds. A running task stages into a private
+// EmitBuffer on its own stack and writes it back once (see
+// EvaluateVariants), so the counters and column headers that every
+// candidate row bumps never share a cache line with another task's.
 struct EmitBuffer {
   Relation* target = nullptr;
-  std::vector<std::vector<Value>> staged;  // staged[col][row]
+  StagedRun staged;  // staged[col][row]
   size_t staged_rows = 0;
   EvalStats stats;
   std::map<Tuple, AggState>* agg = nullptr;
@@ -560,7 +640,17 @@ class Evaluation {
         guard_(guard),
         pool_(context != nullptr ? context->pool() : nullptr),
         buffer_pool_(context != nullptr ? context->PoolFor<EmitBuffer>()
-                                        : &local_buffer_pool_) {}
+                                        : &local_buffer_pool_),
+        lattice_pool_(context != nullptr ? context->PoolFor<LatticeTable>()
+                                         : &local_lattice_pool_),
+        scratch_pool_(context != nullptr ? context->PoolFor<ShardedRuns>()
+                                         : &local_scratch_pool_) {}
+
+  ~Evaluation() {
+    for (auto& [rel, table] : lattices_) {
+      lattice_pool_->Release(std::move(table));
+    }
+  }
 
   Status Run();
 
@@ -583,25 +673,20 @@ class Evaluation {
 
   // Applies the staged runs to their target relations — the single-writer
   // phase of a round — and recycles the buffers. Runs are grouped per
-  // relation and each group is fed through Relation::InsertColumns in task
-  // order; lattice relations first filter the run through their
-  // LatticeTable, keeping only improving candidates. When a
-  // thread pool is available the merge is sharded one task per relation
-  // (each relation keeps exactly one writer, so shards never contend),
-  // which parallelizes the merge while keeping contents and insertion
-  // order bit-identical at any thread count. Returns #tuples inserted.
+  // relation and each group goes to Relation::InsertRuns in task order;
+  // lattice relations first filter the runs through their LatticeTable,
+  // keeping only improving candidates. With a thread pool, relations merge
+  // one pool task each (each relation keeps exactly one writer), and each
+  // merge runs the hash-partitioned kernel on the pool (storage/merge.h),
+  // keeping contents and insertion order bit-identical at any thread
+  // count. Without one, every merge takes the serial path. Returns
+  // #tuples inserted.
   Result<size_t> ApplyStaged(std::vector<EmitBuffer>* buffers);
 
-  // Evaluates one task into `out`. `delta_begin` names relations whose
-  // rows are restricted to [delta_begin, snapshot) at the delta atom.
-  Status EvaluateVariant(const VariantTask& task,
-                         const std::unordered_map<std::string, size_t>& snapshot,
-                         const std::unordered_map<std::string, size_t>& delta_begin,
-                         EmitBuffer* out);
+  // Evaluates one task into `out`.
+  Status EvaluateVariant(const VariantTask& task, EmitBuffer* out);
 
   Status ExecuteStep(const VariantTask& task, size_t step_index, Env* env,
-                     const std::unordered_map<std::string, size_t>& snapshot,
-                     const std::unordered_map<std::string, size_t>& delta_begin,
                      EmitBuffer* out);
 
   // Drops the rows of the SCC's lattice relations that no longer hold
@@ -637,6 +722,13 @@ class Evaluation {
   // pool local to this evaluation.
   runtime::ObjectPool<EmitBuffer>* buffer_pool_;
   runtime::ObjectPool<EmitBuffer> local_buffer_pool_;
+  // Recycles LatticeTables across evaluations the same way.
+  runtime::ObjectPool<LatticeTable>* lattice_pool_;
+  runtime::ObjectPool<LatticeTable> local_lattice_pool_;
+  // Recycles the merge kernel's partition scratch (one per concurrent
+  // relation merge) the same way.
+  runtime::ObjectPool<ShardedRuns>* scratch_pool_;
+  runtime::ObjectPool<ShardedRuns> local_scratch_pool_;
 
   // Read-only after PrepareRelations; safe to share across SCC tasks.
   std::unordered_map<std::string, Relation*> relations_;
@@ -745,8 +837,9 @@ Status Evaluation::PrepareRelations() {
       relations_[decl.name] = rel;
     }
     if (decl.lattice != LatticeKind::kNone && decl.arity() > 0) {
-      lattices_.emplace(relations_.at(decl.name),
-                        LatticeTable(decl.lattice, decl.arity() - 1));
+      LatticeTable table = lattice_pool_->Acquire();
+      table.Reset(decl.lattice, decl.arity() - 1);
+      lattices_.emplace(relations_.at(decl.name), std::move(table));
     }
   }
   // Rules must not define input relations.
@@ -960,11 +1053,8 @@ Status Evaluation::FinalizeAggregates(const CompiledRule& rule,
   return Status::OK();
 }
 
-Status Evaluation::ExecuteStep(
-    const VariantTask& task, size_t step_index, Env* env,
-    const std::unordered_map<std::string, size_t>& snapshot,
-    const std::unordered_map<std::string, size_t>& delta_begin,
-    EmitBuffer* out) {
+Status Evaluation::ExecuteStep(const VariantTask& task, size_t step_index,
+                               Env* env, EmitBuffer* out) {
   const CompiledRule& rule = *task.rule;
   const VariantPlan& plan = *task.plan;
   if (step_index == plan.steps.size()) return EmitHead(rule, env, out);
@@ -977,7 +1067,7 @@ Status Evaluation::ExecuteStep(
       RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalCompiledTerm(c.lhs, *env));
       RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalCompiledTerm(c.rhs, *env));
       if (!CheckCmp(c.op, lhs, rhs, db_->symbols())) return Status::OK();
-      return ExecuteStep(task, step_index + 1, env, snapshot, delta_begin, out);
+      return ExecuteStep(task, step_index + 1, env, out);
     }
     case PlanStep::kBind: {
       const CompiledConstraint& c =
@@ -987,8 +1077,7 @@ Status Evaluation::ExecuteStep(
       size_t slot = static_cast<size_t>(step.bind_var);
       env->values[slot] = v;
       env->bound[slot] = true;
-      Status s =
-          ExecuteStep(task, step_index + 1, env, snapshot, delta_begin, out);
+      Status s = ExecuteStep(task, step_index + 1, env, out);
       env->bound[slot] = false;
       return s;
     }
@@ -1001,9 +1090,7 @@ Status Evaluation::ExecuteStep(
             Value v, EvalCompiledTerm(atom.args[static_cast<size_t>(col)], *env));
         probe_key.push_back(v);
       }
-      size_t limit = snapshot.count(atom.predicate)
-                         ? snapshot.at(atom.predicate)
-                         : atom.relation->size();
+      const size_t limit = step.row_end;
       bool exists = false;
       if (step.probe_cols.empty()) {
         exists = limit > 0;
@@ -1019,17 +1106,12 @@ Status Evaluation::ExecuteStep(
         }
       }
       if (exists) return Status::OK();  // negation fails: prune this env
-      return ExecuteStep(task, step_index + 1, env, snapshot, delta_begin, out);
+      return ExecuteStep(task, step_index + 1, env, out);
     }
     case PlanStep::kJoinAtom: {
       const CompiledAtom& atom = rule.atoms[static_cast<size_t>(step.atom_index)];
-      size_t begin = 0;
-      size_t end = snapshot.count(atom.predicate) ? snapshot.at(atom.predicate)
-                                                  : atom.relation->size();
-      if (plan.delta_atom == step.atom_index) {
-        auto it = delta_begin.find(atom.predicate);
-        if (it != delta_begin.end()) begin = it->second;
-      }
+      size_t begin = step.row_begin;
+      size_t end = step.row_end;
       if (plan.range_atom == step.atom_index) {
         // Outer-range partitioning: this task only owns a chunk of the
         // rows. Only the outermost join carries a range, so the clamp
@@ -1083,10 +1165,7 @@ Status Evaluation::ExecuteStep(
           }
         }
         Status s = Status::OK();
-        if (matches) {
-          s = ExecuteStep(task, step_index + 1, env, snapshot, delta_begin,
-                          out);
-        }
+        if (matches) s = ExecuteStep(task, step_index + 1, env, out);
         for (size_t slot : newly_bound) env->bound[slot] = false;
         return s;
       };
@@ -1111,13 +1190,9 @@ Status Evaluation::ExecuteStep(
   return Status::Internal("unhandled plan step");
 }
 
-Status Evaluation::EvaluateVariant(
-    const VariantTask& task,
-    const std::unordered_map<std::string, size_t>& snapshot,
-    const std::unordered_map<std::string, size_t>& delta_begin,
-    EmitBuffer* out) {
+Status Evaluation::EvaluateVariant(const VariantTask& task, EmitBuffer* out) {
   Env env(task.rule->num_vars, task.plan->steps.size());
-  return ExecuteStep(task, 0, &env, snapshot, delta_begin, out);
+  return ExecuteStep(task, 0, &env, out);
 }
 
 // Minimum chunk of outer-atom rows worth shipping to another thread; below
@@ -1139,8 +1214,15 @@ Status Evaluation::EvaluateVariants(
         VariantPlan plan, PlanVariant(*rule, delta_atom, options_.reorder_atoms));
     for (PlanStep& step : plan.steps) {
       if (step.atom_index < 0) continue;
-      const Relation* rel =
-          rule->atoms[static_cast<size_t>(step.atom_index)].relation;
+      const CompiledAtom& atom =
+          rule->atoms[static_cast<size_t>(step.atom_index)];
+      const Relation* rel = atom.relation;
+      auto snap = snapshot.find(atom.predicate);
+      step.row_end = snap != snapshot.end() ? snap->second : rel->size();
+      if (plan.delta_atom == step.atom_index) {
+        auto delta = delta_begin.find(atom.predicate);
+        if (delta != delta_begin.end()) step.row_begin = delta->second;
+      }
       if (step.kind == PlanStep::kJoinAtom) {
         // Borrow the joined relation's storage columns now, while still
         // single-threaded: workers then scan without materializing rows
@@ -1169,14 +1251,14 @@ Status Evaluation::EvaluateVariants(
       tasks.push_back(whole);
       continue;
     }
-    const CompiledAtom& outer =
-        rule->atoms[static_cast<size_t>(plan.range_atom)];
     size_t begin = 0;
-    size_t end = snapshot.count(outer.predicate) ? snapshot.at(outer.predicate)
-                                                 : outer.relation->size();
-    if (plan.range_atom == plan.delta_atom) {
-      auto it = delta_begin.find(outer.predicate);
-      if (it != delta_begin.end()) begin = it->second;
+    size_t end = 0;
+    for (const PlanStep& step : plan.steps) {
+      if (step.kind == PlanStep::kJoinAtom &&
+          step.atom_index == plan.range_atom) {
+        begin = step.row_begin;
+        end = step.row_end;
+      }
     }
     size_t range = end > begin ? end - begin : 0;
     size_t max_chunks = static_cast<size_t>(pool_->num_threads()) * 4;
@@ -1217,13 +1299,26 @@ Status Evaluation::EvaluateVariants(
       }
     }
     obs::TraceScope span("datalog.variant", static_cast<int64_t>(i));
-    EmitBuffer& buffer = buffers[i];
-    std::map<Tuple, AggState> agg;
-    if (tasks[i].rule->has_agg) buffer.agg = &agg;
-    Status s = EvaluateVariant(tasks[i], snapshot, delta_begin, &buffer);
-    if (s.ok() && tasks[i].rule->has_agg) {
-      s = FinalizeAggregates(*tasks[i].rule, agg, &buffer);
+    // Stage into a private buffer: its counters live on this task's stack
+    // and its column headers in an array this thread allocates, so no
+    // per-row write lands on a cache line another task writes. The pooled
+    // buffer's columns (and their capacity) are swapped in and, with the
+    // counters, handed back once at the end.
+    EmitBuffer& shared = buffers[i];
+    EmitBuffer local;
+    local.target = shared.target;
+    local.staged.resize(shared.staged.size());
+    for (size_t c = 0; c < local.staged.size(); ++c) {
+      local.staged[c].swap(shared.staged[c]);
     }
+    std::map<Tuple, AggState> agg;
+    if (tasks[i].rule->has_agg) local.agg = &agg;
+    Status s = EvaluateVariant(tasks[i], &local);
+    if (s.ok() && tasks[i].rule->has_agg) {
+      s = FinalizeAggregates(*tasks[i].rule, agg, &local);
+    }
+    local.agg = nullptr;
+    shared = std::move(local);
     statuses[i] = std::move(s);
   };
   if (pool_ != nullptr && tasks.size() > 1) {
@@ -1277,11 +1372,20 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
     groups[it->second].second.push_back(i);
   }
 
+  // Storage's data-parallel loop: the pool's ParallelFor, or none, which
+  // keeps every merge of a serial evaluation on the serial path.
+  ParallelForFn parallel_for;
+  if (pool_ != nullptr) {
+    parallel_for = [this](size_t count,
+                          const std::function<void(size_t)>& body) {
+      pool_->ParallelFor(count, body);
+    };
+  }
+
   std::vector<size_t> inserted(groups.size(), 0);
   std::vector<Status> statuses(groups.size(), Status::OK());
   auto apply_group = [&](size_t g) -> void {
     Relation* rel = groups[g].first;
-    const std::vector<size_t>& runs = groups[g].second;
 #if defined(RAQLET_FAILPOINTS)
     {
       // Injection point for the kill-point sweep: fail one relation's
@@ -1293,50 +1397,36 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
       }
     }
 #endif
-    // Both paths build one columnar run in the first buffer — which keeps
-    // its column capacity for the next round — and hand it to the
-    // columnar dedup primitive; no row tuples are built.
-    std::vector<std::vector<Value>>& base = (*buffers)[runs[0]].staged;
+    // The runs go to storage in task order, as they are: no concatenation.
+    std::vector<StagedRun*> runs;
+    runs.reserve(groups[g].second.size());
+    for (size_t i : groups[g].second) runs.push_back(&(*buffers)[i].staged);
     auto lattice = lattices_.find(rel);
-    if (lattice == lattices_.end()) {
-      // Concatenate later runs onto the first, column by column, in task
-      // order (a no-op in the common one-task case).
-      size_t total = 0;
-      for (size_t i : runs) total += (*buffers)[i].staged_rows;
-      for (std::vector<Value>& col : base) col.reserve(total);
-      for (size_t k = 1; k < runs.size(); ++k) {
-        std::vector<std::vector<Value>>& more = (*buffers)[runs[k]].staged;
-        for (size_t c = 0; c < base.size(); ++c) {
-          base[c].insert(base[c].end(), more[c].begin(), more[c].end());
-        }
-      }
-    } else {
-      // Lattice pass: a staged row survives only if it improves its key's
-      // best value, with the table advancing through the runs in task
-      // order, so a later candidate in the same batch can supersede an
-      // earlier one. Survivors of the first run are compacted in place;
-      // later runs' survivors are appended behind them.
-      LatticeTable& table = lattice->second;
-      size_t kept = 0;
-      for (size_t k = 0; k < runs.size(); ++k) {
-        const EmitBuffer& run = (*buffers)[runs[k]];
-        for (size_t row = 0; row < run.staged_rows; ++row) {
-          if (!table.Offer(run.staged, row, db_->symbols())) continue;
-          for (size_t c = 0; c < base.size(); ++c) {
-            if (k == 0) {
-              base[c][kept] = run.staged[c][row];
-            } else {
-              base[c].push_back(run.staged[c][row]);
-            }
-          }
-          ++kept;
-        }
-        if (k == 0) {
-          for (std::vector<Value>& col : base) col.resize(kept);
-        }
-      }
+    if (lattice != lattices_.end()) {
+      obs::TraceScope lattice_span("datalog.merge.lattice");
+      lattice->second.Filter(runs, db_->symbols(), parallel_for);
     }
-    Result<size_t> r = rel->InsertColumns(&base);
+    std::optional<obs::TraceScope> phase_span;
+    std::optional<ShardedRuns> scratch;
+    if (parallel_for != nullptr) scratch = scratch_pool_->Acquire();
+    Result<size_t> r = rel->InsertRuns(
+        runs, parallel_for, [&phase_span](Relation::MergePhase phase) {
+          phase_span.reset();
+          switch (phase) {
+            case Relation::MergePhase::kProbe:
+              phase_span.emplace("datalog.merge.probe");
+              break;
+            case Relation::MergePhase::kAppend:
+              phase_span.emplace("datalog.merge.append");
+              break;
+            case Relation::MergePhase::kIndexFold:
+              phase_span.emplace("datalog.merge.index_fold");
+              break;
+          }
+        },
+        scratch.has_value() ? &*scratch : nullptr);
+    if (scratch.has_value()) scratch_pool_->Release(std::move(*scratch));
+    phase_span.reset();
     if (r.ok()) {
       inserted[g] = *r;
     } else {
@@ -1344,10 +1434,11 @@ Result<size_t> Evaluation::ApplyStaged(std::vector<EmitBuffer>* buffers) {
     }
   };
 
-  // Sharded deterministic merge: one task per relation. Each relation has
-  // exactly one writer (this task), and no concurrently-running SCC reads
-  // a relation this SCC writes (the scheduler only starts an SCC after
-  // all its dependencies finished), so the single-writer contract holds.
+  // One task per relation. Each relation has exactly one writer (this
+  // task; the kernel's helpers only read it), and no concurrently-running
+  // SCC reads a relation this SCC writes (the scheduler only starts an SCC
+  // after all its dependencies finished), so the single-writer contract
+  // holds.
   if (pool_ != nullptr && groups.size() > 1) {
     pool_->ParallelFor(groups.size(), apply_group);
   } else {

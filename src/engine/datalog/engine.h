@@ -18,9 +18,10 @@
 //    column) merge instead of union: an insert only "counts" if it
 //    improves the best value for the key prefix. This gives terminating
 //    shortest-path recursion on cyclic graphs (Datalog^o-style monotone
-//    aggregation). The merge probes a flat prefix table (key prefix ->
-//    best value) straight from the staged columns, advancing through each
-//    batch in task order so later rows supersede earlier ones. At the end
+//    aggregation). The merge probes a prefix table (key prefix -> best
+//    value, split into key-hash shards) straight from the staged columns,
+//    advancing through each batch in task order so later rows supersede
+//    earlier ones. At the end
 //    of the SCC, and only if some row was superseded (more rows than
 //    keys), compaction drops the rows that no longer hold their key's
 //    best; the survivors keep their insertion order.
@@ -28,10 +29,11 @@
 //    independent SCCs are scheduled concurrently, and within one fixpoint
 //    round each rule variant's outer join range is partitioned across the
 //    pool. Workers emit into per-task buffers (recycled through the
-//    context's object pool across rounds); the merge is sharded per
-//    target relation — each relation's staged runs apply in task order
-//    through Relation::InsertColumns on one pool task — so derived
-//    relations are bit-identical to a 1-thread run at any thread count.
+//    context's object pool across rounds); each target relation's staged
+//    runs then merge in task order on one pool task, through
+//    Relation::InsertRuns' hash-partitioned kernel (storage/merge.h),
+//    which decides per hash shard in parallel — so derived relations are
+//    bit-identical to a 1-thread run at any thread count.
 
 #include <cstddef>
 #include <memory>

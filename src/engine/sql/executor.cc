@@ -122,13 +122,15 @@ class SelectEvaluator {
   // the total relation in place instead of materializing a working table.
   SelectEvaluator(const Select& select, const TableResolver& resolver,
                   Database* db, SqlMode mode, SqlStats* stats,
-                  runtime::ThreadPool* pool,
+                  runtime::ExecutionContext* context,
                   const Relation* lead_scan = nullptr,
                   size_t delta_begin = 0, size_t delta_end = kNoDelta,
                   obs::SqlCteMetrics* cte_metrics = nullptr,
                   const runtime::QueryGuard* guard = nullptr)
       : select_(select), resolver_(resolver), db_(db), mode_(mode),
-        stats_(stats), pool_(pool), lead_scan_(lead_scan),
+        stats_(stats), context_(context),
+        pool_(context != nullptr ? context->pool() : nullptr),
+        lead_scan_(lead_scan),
         delta_begin_(delta_begin), delta_end_(delta_end),
         cte_metrics_(cte_metrics), guard_(guard) {}
 
@@ -954,7 +956,8 @@ class SelectEvaluator {
           scan_begin, scan_end, &cols, &scanned,
           step_totals_.empty() ? nullptr : &step_totals_));
       if (stats_ != nullptr) stats_->rows_scanned += scanned;
-      const size_t staged = cols.empty() ? 0 : cols.front().size();
+      const size_t staged = StagedRows(cols);
+      obs::TraceScope merge_span("sql.merge");
       RAQLET_ASSIGN_OR_RETURN(size_t inserted, out->InsertColumns(&cols));
       RecordDedup(staged, inserted);
       return Status::OK();
@@ -991,6 +994,9 @@ class SelectEvaluator {
     // Chunks skipped by a tripped guard left OK statuses and empty
     // outputs; report the trip rather than merging a partial result.
     if (guard_ != nullptr && guard_->tripped()) return guard_->TripStatus();
+    size_t staged = 0;
+    std::vector<StagedRun*> runs;
+    runs.reserve(nchunks);
     for (size_t c = 0; c < nchunks; ++c) {
       if (stats_ != nullptr) stats_->rows_scanned += chunk_scanned[c];
       for (size_t s = 0; want_steps && s < plan_.size(); ++s) {
@@ -1000,12 +1006,26 @@ class SelectEvaluator {
         step_totals_[s].rows_matched += chunk_steps[c][s].rows_matched;
         step_totals_[s].rows_out += chunk_steps[c][s].rows_out;
       }
-      const size_t staged =
-          chunk_cols[c].empty() ? 0 : chunk_cols[c].front().size();
-      RAQLET_ASSIGN_OR_RETURN(size_t inserted,
-                              out->InsertColumns(&chunk_cols[c]));
-      RecordDedup(staged, inserted);
+      staged += StagedRows(chunk_cols[c]);
+      runs.push_back(&chunk_cols[c]);
     }
+    // One merge of every chunk's output, in chunk order, on the pool's
+    // hash-partitioned kernel: the same rows, order and counters as
+    // inserting the chunks one by one. Its scratch is recycled through
+    // the context, so repeated queries reuse the partition arrays.
+    obs::TraceScope merge_span("sql.merge");
+    runtime::ObjectPool<ShardedRuns>* scratch_pool =
+        context_->PoolFor<ShardedRuns>();
+    ShardedRuns scratch = scratch_pool->Acquire();
+    Result<size_t> inserted = out->InsertRuns(
+        runs,
+        [this](size_t count, const std::function<void(size_t)>& body) {
+          pool_->ParallelFor(count, body);
+        },
+        nullptr, &scratch);
+    scratch_pool->Release(std::move(scratch));
+    RAQLET_RETURN_IF_ERROR(inserted.status());
+    RecordDedup(staged, *inserted);
     return Status::OK();
   }
 
@@ -1174,7 +1194,8 @@ class SelectEvaluator {
   Database* db_;
   SqlMode mode_;
   SqlStats* stats_;
-  runtime::ThreadPool* pool_;
+  runtime::ExecutionContext* context_;  // null when serial
+  runtime::ThreadPool* pool_;            // context_'s pool, or null
   const Relation* lead_scan_;
   size_t delta_begin_;
   size_t delta_end_;  // kNoDelta: no scan-range restriction
@@ -1281,8 +1302,7 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
   obs::TraceScope run_span("sql.run");
   const runtime::QueryGuard* g = guard != nullptr ? guard : options_.guard;
   std::map<std::string, std::unique_ptr<Relation>> cte_store;
-  runtime::ThreadPool* pool =
-      context_ != nullptr ? context_->pool() : nullptr;
+  runtime::ExecutionContext* context = context_.get();
 
   TableResolver resolver =
       [&](const std::string& name) -> Result<const Relation*> {
@@ -1355,7 +1375,7 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
     for (const Select* branch : base) {
       if (g != nullptr) RAQLET_RETURN_IF_ERROR(g->Check());
       SelectEvaluator eval(*branch, resolver, db, options_.mode, stats,
-                           pool, nullptr, 0, SelectEvaluator::kNoDelta, cm,
+                           context, nullptr, 0, SelectEvaluator::kNoDelta, cm,
                            g);
       RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
     }
@@ -1410,7 +1430,7 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
           // same relation is safe.
           for (const Select* branch : recursive) {
             SelectEvaluator eval(*branch, rec_resolver, db, options_.mode,
-                                 stats, pool, rel.get(), delta_begin,
+                                 stats, context, rel.get(), delta_begin,
                                  delta_end, cm, g);
             RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
           }
@@ -1440,7 +1460,7 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
           const size_t before = rel->size();
           for (const Select* branch : recursive) {
             SelectEvaluator eval(*branch, rec_resolver, db, options_.mode,
-                                 stats, pool, working.get(), 0,
+                                 stats, context, working.get(), 0,
                                  SelectEvaluator::kNoDelta, cm, g);
             RAQLET_RETURN_IF_ERROR(eval.Evaluate(rel.get()));
           }
@@ -1510,7 +1530,7 @@ Result<ResultTable> SqlEngine::Run(const SqirProgram& program, Database* db,
 
   Relation out_rel(out_schema);
   SelectEvaluator eval(program.final_select, resolver, db, options_.mode,
-                       stats, pool, nullptr, 0, SelectEvaluator::kNoDelta,
+                       stats, context, nullptr, 0, SelectEvaluator::kNoDelta,
                        final_cm, g);
   RAQLET_RETURN_IF_ERROR(eval.Evaluate(&out_rel));
   if (g != nullptr) {

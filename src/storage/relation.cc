@@ -1,6 +1,7 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "common/str_util.h"
@@ -10,22 +11,19 @@ namespace raqlet {
 
 namespace {
 
-constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
-// Finalizer spreading TupleHash output across slot indices: the table
-// indexes with the low bits, so fold the high bits down first.
-inline uint32_t MixHash(size_t h) {
-  uint64_t x = static_cast<uint64_t>(h) * kGolden;
-  return static_cast<uint32_t>(x ^ (x >> 32));
+// TupleHash for an arity-2 all-kNumber row given the raw payload words —
+// bit-identical to TupleHash{}({Number(a), Number(b)}): a kNumber's
+// Value::Hash is its own bits.
+inline uint64_t PairNumericHash(int64_t a, int64_t b) {
+  return HashCombine(HashCombine(2, static_cast<uint64_t>(a)),
+                     static_cast<uint64_t>(b));
 }
 
-// TupleHash for an arity-2 all-kNumber row given the raw payload words —
-// bit-identical to TupleHash{}({Number(a), Number(b)}). Value::Hash for a
-// kNumber is bits + kGolden (the kind term is zero).
-inline size_t PairNumericHash(int64_t a, int64_t b) {
-  size_t h = 2;
-  h ^= (static_cast<uint64_t>(a) + kGolden) + kGolden + (h << 6) + (h >> 2);
-  h ^= (static_cast<uint64_t>(b) + kGolden) + kGolden + (h << 6) + (h >> 2);
+// TupleHash of the row whose column-c value is value(c).
+template <typename ValueFn>
+inline uint64_t RowHash(size_t arity, ValueFn&& value) {
+  uint64_t h = arity;
+  for (size_t c = 0; c < arity; ++c) h = HashCombine(h, value(c).Hash());
   return h;
 }
 
@@ -63,24 +61,29 @@ Status Relation::CheckRoom(size_t extra) const {
       " stored + batch of " + std::to_string(extra));
 }
 
-void Relation::DedupReserve(size_t want) {
-  // Max load factor 1/2: at 7/8 the expected linear-probe chain for a miss
-  // (every genuinely-new tuple) is ~32 slot touches; at 1/2 it is ~2.5. A
-  // slot is 8 bytes, so even the doubled table stays far smaller than the
-  // column storage it guards.
-  size_t capacity = dedup_slots_.size();
-  if (capacity >= 16 && want * 2 <= capacity) return;
-  size_t new_capacity = capacity == 0 ? 16 : capacity;
-  while (want * 2 > new_capacity) new_capacity *= 2;
-  std::vector<DedupSlot> old = std::move(dedup_slots_);
-  dedup_slots_.assign(new_capacity, DedupSlot{});
-  size_t mask = new_capacity - 1;
-  for (const DedupSlot& slot : old) {
-    if (slot.row == kEmptySlot) continue;
-    size_t pos = slot.hash & mask;
-    while (dedup_slots_[pos].row != kEmptySlot) pos = (pos + 1) & mask;
-    dedup_slots_[pos] = slot;
+uint32_t Relation::PairProbe(int64_t a, int64_t b, uint32_t h32,
+                             size_t* slot_out) const {
+  const int64_t* s0 = columns_[0].word_data();
+  const int64_t* s1 = columns_[1].word_data();
+  const size_t mask = dedup_slots_.size() - 1;
+  for (size_t pos = h32 & mask;; pos = (pos + 1) & mask) {
+    const HashSlot& slot = dedup_slots_[pos];
+    if (slot.index == kEmptySlot) {
+      if (slot_out != nullptr) *slot_out = pos;
+      return kEmptySlot;
+    }
+    if (slot.hash == h32 && s0[slot.index] == a && s1[slot.index] == b) {
+      return slot.index;
+    }
   }
+}
+
+bool Relation::PairColumnsReady() const {
+  return columns_.size() == 2 && columns_[0].uniform() &&
+         columns_[1].uniform() &&
+         (row_count_ == 0 ||
+          (columns_[0].uniform_kind() == ValueType::kNumber &&
+           columns_[1].uniform_kind() == ValueType::kNumber));
 }
 
 void Relation::PrepareColumns(size_t arity, size_t want) {
@@ -99,20 +102,20 @@ void Relation::AppendRow(const Tuple& t) {
 bool Relation::Contains(const Tuple& t) const {
   if (dedup_slots_.empty()) return false;
   auto cand = [&t](size_t c) -> const Value& { return t[c]; };
-  return DedupProbe(t.size(), cand, MixHash(TupleHash{}(t)), nullptr) !=
+  return DedupProbe(t.size(), cand, FoldHash(TupleHash{}(t)), nullptr) !=
          kEmptySlot;
 }
 
 Result<bool> Relation::Insert(Tuple t) {
   RAQLET_RETURN_IF_ERROR(CheckRoom(1));
   PrepareColumns(t.size(), row_count_ + 1);
-  DedupReserve(row_count_ + 1);
-  uint32_t h32 = MixHash(TupleHash{}(t));
+  ReserveHashSlots(&dedup_slots_, row_count_ + 1);  // room for this row
+  uint32_t h32 = FoldHash(TupleHash{}(t));
   size_t slot;
   auto cand = [&t](size_t c) -> const Value& { return t[c]; };
   if (DedupProbe(t.size(), cand, h32, &slot) != kEmptySlot) return false;
   AppendRow(t);
-  dedup_slots_[slot] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
+  dedup_slots_[slot] = HashSlot{h32, static_cast<uint32_t>(row_count_)};
   ++row_count_;
   return true;
 }
@@ -125,17 +128,16 @@ Result<size_t> Relation::InsertBatchInPlace(std::vector<Tuple>* batch) {
   if (batch->empty()) return static_cast<size_t>(0);
   RAQLET_FAILPOINT("storage.insert_batch");
   RAQLET_RETURN_IF_ERROR(CheckRoom(batch->size()));
-  size_t want = row_count_ + batch->size();
-  PrepareColumns((*batch)[0].size(), want);
-  DedupReserve(want);
+  PrepareColumns((*batch)[0].size(), row_count_ + batch->size());
   size_t inserted = 0;
   for (const Tuple& t : *batch) {
-    uint32_t h32 = MixHash(TupleHash{}(t));
+    ReserveHashSlots(&dedup_slots_, row_count_ + 1);  // admitted rows only
+    uint32_t h32 = FoldHash(TupleHash{}(t));
     size_t slot;
     auto cand = [&t](size_t c) -> const Value& { return t[c]; };
     if (DedupProbe(t.size(), cand, h32, &slot) != kEmptySlot) continue;
     AppendRow(t);
-    dedup_slots_[slot] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
+    dedup_slots_[slot] = HashSlot{h32, static_cast<uint32_t>(row_count_)};
     ++row_count_;
     ++inserted;
   }
@@ -145,79 +147,231 @@ Result<size_t> Relation::InsertBatchInPlace(std::vector<Tuple>* batch) {
 }
 
 Result<size_t> Relation::InsertColumns(std::vector<std::vector<Value>>* cols) {
-  const size_t batch_arity = cols->size();
-  const size_t n = batch_arity == 0 ? 0 : (*cols)[0].size();
+  return InsertRuns({cols});
+}
+
+Result<size_t> Relation::InsertRuns(const std::vector<StagedRun*>& runs,
+                                    const ParallelForFn& parallel_for,
+                                    const MergePhaseFn& on_phase,
+                                    ShardedRuns* scratch) {
+  size_t arity = 0;
+  size_t n = 0;
+  for (const StagedRun* run : runs) {
+    if (StagedRows(*run) == 0) continue;
+    arity = run->size();
+    n += StagedRows(*run);
+  }
   if (n == 0) return static_cast<size_t>(0);
   RAQLET_FAILPOINT("storage.insert_columns");
   RAQLET_RETURN_IF_ERROR(CheckRoom(n));
-  size_t want = row_count_ + n;
-  PrepareColumns(batch_arity, want);
-  DedupReserve(want);
-  size_t inserted;
-  if (batch_arity == 2 && columns_[0].uniform() && columns_[1].uniform() &&
-      (row_count_ == 0 ||
-       (columns_[0].uniform_kind() == ValueType::kNumber &&
-        columns_[1].uniform_kind() == ValueType::kNumber)) &&
-      AllNumbers((*cols)[0]) && AllNumbers((*cols)[1])) {
-    inserted = InsertPairNumeric((*cols)[0], (*cols)[1]);
-  } else {
-    inserted = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t h = batch_arity;
-      for (size_t c = 0; c < batch_arity; ++c) {
-        h ^= (*cols)[c][i].Hash() + kGolden + (h << 6) + (h >> 2);
-      }
-      uint32_t h32 = MixHash(h);
-      size_t slot;
-      auto cand = [cols, i](size_t c) -> const Value& { return (*cols)[c][i]; };
-      if (DedupProbe(batch_arity, cand, h32, &slot) != kEmptySlot) continue;
-      for (size_t c = 0; c < batch_arity; ++c) {
-        columns_[c].Append((*cols)[c][i]);
-      }
-      dedup_slots_[slot] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
-      ++row_count_;
-      ++inserted;
-    }
+  auto phase = [&on_phase](MergePhase p) {
+    if (on_phase != nullptr) on_phase(p);
+  };
+  phase(MergePhase::kProbe);
+  if (columns_.size() < arity) columns_.resize(arity);
+  bool pair = arity == 2 && PairColumnsReady();
+  for (const StagedRun* run : runs) {
+    if (!pair) break;
+    for (const std::vector<Value>& col : *run) pair = pair && AllNumbers(col);
   }
-  for (std::vector<Value>& col : *cols) col.clear();  // capacity retained
+  size_t inserted;
+  if (parallel_for != nullptr && n >= ShardedRuns::kMinRows) {
+    std::optional<ShardedRuns> local;
+    if (scratch == nullptr) scratch = &local.emplace();
+    inserted =
+        InsertRunsSharded(runs, arity, pair, parallel_for, on_phase, scratch);
+  } else {
+    inserted = InsertRunsSerial(runs, arity, pair);
+  }
+  for (StagedRun* run : runs) {
+    for (std::vector<Value>& col : *run) col.clear();  // capacity retained
+  }
+  phase(MergePhase::kIndexFold);
   FoldAllIndexes();
   return inserted;
 }
 
-size_t Relation::InsertPairNumeric(const std::vector<Value>& c0,
-                                   const std::vector<Value>& c1) {
-  const size_t n = c0.size();
-  ValueColumn& col0 = columns_[0];
-  ValueColumn& col1 = columns_[1];
-  // PrepareColumns reserved the whole batch, so these stay valid across
-  // appends.
-  const int64_t* s0 = col0.word_data();
-  const int64_t* s1 = col1.word_data();
-  const size_t mask = dedup_slots_.size() - 1;
+size_t Relation::InsertRunsSerial(const std::vector<StagedRun*>& runs,
+                                  size_t arity, bool pair) {
+  size_t n = 0;
+  for (const StagedRun* run : runs) n += StagedRows(*run);
+  // Columns are reserved for every candidate (address space only: pages
+  // are touched as rows land), so borrowed word pointers stay valid.
+  PrepareColumns(arity, row_count_ + n);
   size_t inserted = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t a = c0[i].RawBits();
-    const int64_t b = c1[i].RawBits();
-    const uint32_t h32 = MixHash(PairNumericHash(a, b));
-    size_t pos = h32 & mask;
-    bool duplicate = false;
-    while (true) {
-      const DedupSlot& slot = dedup_slots_[pos];
-      if (slot.row == kEmptySlot) break;
-      if (slot.hash == h32 && s0[slot.row] == a && s1[slot.row] == b) {
-        duplicate = true;
-        break;
+  size_t offered = 0;
+  for (const StagedRun* run_ptr : runs) {
+    const StagedRun& run = *run_ptr;
+    const size_t rows = StagedRows(run);
+    for (size_t i = 0; i < rows; ++i, ++offered) {
+      // Room for this row, should it be new. The table grows with the
+      // admitted rows, not the candidates: when it must grow, it makes
+      // room for the rows the rest of the batch would admit at the rate
+      // it has admitted so far, but at most 4x the rows stored — few
+      // steps for an all-new batch, little slack for a duplicate-heavy
+      // one.
+      if ((row_count_ + 1) * 2 > dedup_slots_.size()) {
+        const size_t projected =
+            (n - offered) * (inserted + 1) / (offered + 1);
+        ReserveHashSlots(&dedup_slots_,
+                         row_count_ + 1 +
+                             std::min(projected, 3 * (row_count_ + 1)));
       }
-      pos = (pos + 1) & mask;
+      size_t slot;
+      uint32_t h32;
+      if (pair) {
+        const int64_t a = run[0][i].RawBits();
+        const int64_t b = run[1][i].RawBits();
+        h32 = FoldHash(PairNumericHash(a, b));
+        if (PairProbe(a, b, h32, &slot) != kEmptySlot) continue;
+        columns_[0].AppendUniform(ValueType::kNumber, a);
+        columns_[1].AppendUniform(ValueType::kNumber, b);
+      } else {
+        auto cand = [&run, i](size_t c) -> const Value& { return run[c][i]; };
+        h32 = FoldHash(RowHash(arity, cand));
+        if (DedupProbe(arity, cand, h32, &slot) != kEmptySlot) continue;
+        for (size_t c = 0; c < arity; ++c) columns_[c].Append(run[c][i]);
+      }
+      dedup_slots_[slot] = HashSlot{h32, static_cast<uint32_t>(row_count_)};
+      ++row_count_;
+      ++inserted;
     }
-    if (duplicate) continue;
-    col0.AppendUniform(ValueType::kNumber, a);
-    col1.AppendUniform(ValueType::kNumber, b);
-    dedup_slots_[pos] = DedupSlot{h32, static_cast<uint32_t>(row_count_)};
-    ++row_count_;
-    ++inserted;
   }
   return inserted;
+}
+
+size_t Relation::InsertRunsSharded(const std::vector<StagedRun*>& runs,
+                                   size_t arity, bool pair,
+                                   const ParallelForFn& parallel_for,
+                                   const MergePhaseFn& on_phase,
+                                   ShardedRuns* scratch) {
+  // Hash once, bucket by the hash's high bits (storage/merge.h).
+  ShardedRuns& sharded = *scratch;
+  sharded.Build(
+      runs,
+      [arity, pair](const StagedRun& run, size_t i) -> uint32_t {
+        if (pair) {
+          return FoldHash(PairNumericHash(run[0][i].RawBits(),
+                                          run[1][i].RawBits()));
+        }
+        return FoldHash(RowHash(
+            arity, [&run, i](size_t c) -> const Value& { return run[c][i]; }));
+      },
+      parallel_for);
+
+  // Decide, per shard and in parallel, which candidates are new. The
+  // dedup table is only read here; each shard's first-occurrence table
+  // holds (hash, position) of the shard's winners so far and grows as
+  // winners are admitted. Candidates, and their dedup-table slots, are
+  // prefetched a few positions ahead: a shard's positions are scattered
+  // over the runs, so each is a cache miss otherwise.
+  const size_t table_mask =
+      dedup_slots_.empty() ? 0 : dedup_slots_.size() - 1;
+  ForEachIndex(parallel_for, ShardedRuns::kShards, [&](size_t s) {
+    const std::span<const uint32_t> positions = sharded.positions(s);
+    if (positions.empty()) return;
+    ShardedRuns::Shard& shard = sharded.shard(s);
+    std::vector<uint32_t>& won = shard.picked;
+    std::vector<HashSlot>& seen = shard.seen;
+    size_t capacity = 16;  // within the size an earlier merge reached
+    while (capacity < seen.size() && capacity < 2 * positions.size()) {
+      capacity *= 2;
+    }
+    seen.assign(capacity, HashSlot{});
+    constexpr size_t kAhead = 8;
+    size_t r = sharded.RunOf(positions.front());
+    size_t r_ahead = r;
+    for (size_t k = 0; k < positions.size(); ++k) {
+      if (k + kAhead < positions.size()) {
+        const uint32_t ahead = positions[k + kAhead];
+        while (ahead >= sharded.RunStart(r_ahead + 1)) ++r_ahead;
+        const size_t i_ahead = ahead - sharded.RunStart(r_ahead);
+        for (const std::vector<Value>& col : *runs[r_ahead]) {
+          Prefetch(col.data() + i_ahead);
+        }
+        if (table_mask != 0) {
+          Prefetch(&dedup_slots_[sharded.hash(ahead) & table_mask]);
+        }
+      }
+      const uint32_t pos = positions[k];
+      while (pos >= sharded.RunStart(r + 1)) ++r;
+      const size_t i = pos - sharded.RunStart(r);
+      const StagedRun& run = *runs[r];
+      const uint32_t h32 = sharded.hash(pos);
+      if (table_mask != 0) {
+        uint32_t found;
+        if (pair) {
+          found = PairProbe(run[0][i].RawBits(), run[1][i].RawBits(), h32,
+                            nullptr);
+        } else {
+          auto cand = [&run, i](size_t c) -> const Value& { return run[c][i]; };
+          found = DedupProbe(arity, cand, h32, nullptr);
+        }
+        if (found != kEmptySlot) continue;
+      }
+      const size_t mask = seen.size() - 1;
+      size_t p = h32 & mask;
+      bool repeat = false;
+      for (; seen[p].index != HashSlot::kEmpty; p = (p + 1) & mask) {
+        if (seen[p].hash != h32) continue;
+        // An earlier winner with the same hash: compare the rows.
+        const uint32_t q = seen[p].index;
+        const size_t rq = sharded.RunOf(q);
+        const StagedRun& earlier = *runs[rq];
+        const size_t iq = q - sharded.RunStart(rq);
+        repeat = true;
+        for (size_t c = 0; c < arity && repeat; ++c) {
+          repeat = run[c][i] == earlier[c][iq];
+        }
+        if (repeat) break;
+      }
+      if (repeat) continue;
+      if (ReserveHashSlots(&seen, won.size() + 1)) p = EmptyHashSlot(seen, h32);
+      seen[p] = HashSlot{h32, pos};
+      won.push_back(pos);
+    }
+  });
+
+  // Append the winners in global order and seat them in the dedup table,
+  // which grows once, by the admitted count. A winner is known absent, so
+  // seating it takes the first empty slot on its chain, with no compare.
+  if (on_phase != nullptr) on_phase(MergePhase::kAppend);
+  const size_t admitted = sharded.Picked();
+  if (admitted == 0) return 0;
+  const std::vector<uint8_t>& admit = sharded.picked_flags();
+  PrepareColumns(arity, row_count_ + admitted);
+  ReserveHashSlots(&dedup_slots_, row_count_ + admitted);
+  const size_t mask = dedup_slots_.size() - 1;
+  // The slot each winner lands near is prefetched a few winners ahead.
+  size_t ahead = 0;
+  auto prefetch_next_winner = [&] {
+    while (ahead < admit.size() && admit[ahead] == 0) ++ahead;
+    if (ahead < admit.size()) {
+      Prefetch(&dedup_slots_[sharded.hash(ahead) & mask]);
+      ++ahead;
+    }
+  };
+  for (int k = 0; k < 8; ++k) prefetch_next_winner();
+  for (size_t r = 0; r < runs.size(); ++r) {
+    const StagedRun& run = *runs[r];
+    const size_t base = sharded.RunStart(r);
+    const size_t rows = StagedRows(run);
+    for (size_t i = 0; i < rows; ++i) {
+      if (admit[base + i] == 0) continue;
+      prefetch_next_winner();
+      if (pair) {
+        columns_[0].AppendUniform(ValueType::kNumber, run[0][i].RawBits());
+        columns_[1].AppendUniform(ValueType::kNumber, run[1][i].RawBits());
+      } else {
+        for (size_t c = 0; c < arity; ++c) columns_[c].Append(run[c][i]);
+      }
+      const uint32_t h32 = sharded.hash(base + i);
+      dedup_slots_[EmptyHashSlot(dedup_slots_, h32)] =
+          HashSlot{h32, static_cast<uint32_t>(row_count_)};
+      ++row_count_;
+    }
+  }
+  return admitted;
 }
 
 Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
@@ -234,16 +388,16 @@ Result<size_t> Relation::EraseBatch(const std::vector<Tuple>& batch) {
   std::vector<uint32_t> dead_rows;
   for (const Tuple& t : batch) {
     if (t.size() != columns_.size()) continue;  // wrong arity: never present
-    const uint32_t h32 = MixHash(TupleHash{}(t));
+    const uint32_t h32 = FoldHash(TupleHash{}(t));
     auto cand = [&t](size_t c) -> const Value& { return t[c]; };
     size_t pos = h32 & mask;
     while (true) {
-      DedupSlot& slot = dedup_slots_[pos];
-      if (slot.row == kEmptySlot) break;  // absent (or erased earlier)
-      if (slot.row != kTombstone && slot.hash == h32 &&
-          RowEquals(slot.row, t.size(), cand)) {
-        dead_rows.push_back(slot.row);
-        slot.row = kTombstone;
+      HashSlot& slot = dedup_slots_[pos];
+      if (slot.index == kEmptySlot) break;  // absent (or erased earlier)
+      if (slot.index != kTombstone && slot.hash == h32 &&
+          RowEquals(slot.index, t.size(), cand)) {
+        dead_rows.push_back(slot.index);
+        slot.index = kTombstone;
         break;
       }
       pos = (pos + 1) & mask;
@@ -270,17 +424,11 @@ size_t Relation::EraseRows(const std::vector<uint8_t>& dead) {
   index_cache_.clear();
   row_cache_.clear();
   rows_cached_ = 0;
-  std::fill(dedup_slots_.begin(), dedup_slots_.end(), DedupSlot{});
-  const size_t mask = dedup_slots_.size() - 1;
+  std::fill(dedup_slots_.begin(), dedup_slots_.end(), HashSlot{});
   for (uint32_t i = 0; i < row_count_; ++i) {
-    size_t h = columns_.size();
-    for (const ValueColumn& c : columns_) {
-      h ^= c.Get(i).Hash() + kGolden + (h << 6) + (h >> 2);
-    }
-    const uint32_t h32 = MixHash(h);
-    size_t pos = h32 & mask;
-    while (dedup_slots_[pos].row != kEmptySlot) pos = (pos + 1) & mask;
-    dedup_slots_[pos] = DedupSlot{h32, i};
+    const uint32_t h32 = FoldHash(RowHash(
+        columns_.size(), [this, i](size_t c) { return columns_[c].Get(i); }));
+    dedup_slots_[EmptyHashSlot(dedup_slots_, h32)] = HashSlot{h32, i};
   }
   return erased;
 }
@@ -347,8 +495,16 @@ Relation::ColumnView Relation::ColumnSlice(size_t col, size_t begin,
 
 void Relation::Clear() {
   for (ValueColumn& c : columns_) c.Clear();
+  // Keep the dedup table for a refill of similar size (an engine re-run),
+  // but not one sized for far more rows than were stored: every Clear()
+  // passes over all the slots, and a name reused by a much smaller
+  // program would pay for the big table on every run.
+  if (dedup_slots_.size() > 16 * std::max<size_t>(row_count_, 16)) {
+    dedup_slots_ = std::vector<HashSlot>();
+  } else {
+    std::fill(dedup_slots_.begin(), dedup_slots_.end(), HashSlot{});
+  }
   row_count_ = 0;
-  dedup_slots_.clear();
   index_cache_.clear();
   row_cache_.clear();
   rows_cached_ = 0;
@@ -404,7 +560,7 @@ void Relation::FoldAllIndexes() {
 size_t Relation::MemoryBytes() const {
   size_t bytes = 0;
   for (const ValueColumn& c : columns_) bytes += c.MemoryBytes();
-  bytes += dedup_slots_.capacity() * sizeof(DedupSlot);
+  bytes += dedup_slots_.capacity() * sizeof(HashSlot);
   // Boxed compatibility cache, if materialized (vector headers + value
   // payloads; per-tuple allocator overhead not counted).
   bytes += row_cache_.capacity() * sizeof(Tuple);

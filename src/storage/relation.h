@@ -7,6 +7,7 @@
 // space).
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "storage/merge.h"
 
 namespace raqlet {
 
@@ -56,9 +58,12 @@ struct RelationSchema {
 /// (hash32, row-index) slots with linear probing; it stores no tuples, and
 /// probes compare candidate values against the column arrays directly.
 /// Insertion through any path (row-at-a-time, row batches, or columnar
-/// batches via InsertColumns) makes bit-identical dedup decisions in
-/// batch order: the first occurrence of a duplicate wins, exactly as a
-/// per-tuple Insert loop would decide.
+/// runs via InsertColumns/InsertRuns, serial or sharded) makes
+/// bit-identical dedup decisions in batch order: the first occurrence of a
+/// duplicate wins, exactly as a per-tuple Insert loop would decide. The
+/// table grows with the admitted rows (never with the candidates a batch
+/// offers) and keeps its capacity across Clear(), so a relation refilled
+/// by a re-run does not rehash its way back up.
 ///
 /// ## Borrowing contract
 ///
@@ -75,14 +80,17 @@ struct RelationSchema {
 ///
 /// At most one thread may mutate a Relation, and while it does, no other
 /// thread may touch the relation at all. The writer need not be the same
-/// thread every time: the parallel evaluator's sharded merge hands each
-/// relation's staged run to one pool task per round, which is fine —
-/// distinct relations may be mutated by distinct threads concurrently, as
-/// long as each relation has exactly one writer and no concurrent readers
-/// of that relation. Between mutations — e.g. while a fixpoint round fans
-/// out across the pool — any number of threads may concurrently call the
-/// const accessors (size, Contains, Column, ColumnSlice, ValueAt) plus
-/// EnsureIndex, which serializes index construction internally. Two
+/// thread every time: the parallel evaluator hands each relation's staged
+/// runs to one pool task per round, which is fine — distinct relations may
+/// be mutated by distinct threads concurrently, as long as each relation
+/// has exactly one writer and no concurrent readers of that relation.
+/// InsertRuns with a parallel loop is still one writer: its helper tasks
+/// only read the relation (and their own scratch) while they decide, and
+/// the calling thread alone appends. Between mutations — e.g. while a
+/// fixpoint round fans out across the pool — any number of threads may
+/// concurrently call the const accessors (size, Contains, Column,
+/// ColumnSlice, ValueAt) plus EnsureIndex, which serializes index
+/// construction internally. Two
 /// exceptions are NOT safe to call concurrently even though they are
 /// const, because they fold lazily-materialized caches without locking:
 /// GetIndex (the historical single-threaded index entry point) and rows()
@@ -177,14 +185,44 @@ class Relation {
   /// cols->size() must equal the relation arity (each column the same
   /// length). Dedup decisions and insertion order are bit-identical to
   /// feeding the same rows through InsertBatch. Consumes the values and
-  /// leaves every staged column cleared with capacity intact. This is the
-  /// native batch primitive of the columnar producers: the Datalog
-  /// sharded merge, the SQL vectorized projection, and the graph
-  /// column-batch DISTINCT all land here without materializing row
-  /// tuples. The 2-column all-kNumber shape takes an unboxed fast path
-  /// that hashes and compares raw words. On error the relation and the
-  /// staged columns are unmodified.
+  /// leaves every staged column cleared with capacity intact. The
+  /// one-run, serial case of InsertRuns.
   Result<size_t> InsertColumns(std::vector<std::vector<Value>>* cols);
+
+  /// The phases of one InsertRuns call, reported in order to an optional
+  /// observer (the engines open one trace span per phase). The serial
+  /// path appends as it probes, so it reports kProbe then kIndexFold.
+  enum class MergePhase { kProbe, kAppend, kIndexFold };
+  using MergePhaseFn = std::function<void(MergePhase)>;
+
+  /// Multi-run columnar insert: the runs (each shaped like InsertColumns'
+  /// `cols`, all of the relation's arity), taken in order, are one batch.
+  /// Dedup decisions, insertion order and the returned admitted count are
+  /// bit-identical to InsertColumns on their concatenation — which is
+  /// never built. This is the native merge of the columnar producers: the
+  /// Datalog engine's per-task staged runs, the SQL vectorized engine's
+  /// per-chunk projections, and the graph column-batch DISTINCT.
+  ///
+  /// With `parallel_for` (and a batch big enough to pay for it) the merge
+  /// runs the hash-partitioned kernel of storage/merge.h: every candidate
+  /// is hashed once and bucketed into shards by the high bits of its
+  /// hash, keeping global order; each shard decides in parallel which of
+  /// its candidates are new (a read-only probe of the dedup table plus a
+  /// first-occurrence table local to the shard); the winners are then
+  /// appended in global order. `scratch`, when given, holds the kernel's
+  /// partition arrays and keeps them for the caller's next merge (the
+  /// engines recycle one through their execution context; without it the
+  /// kernel allocates its own). Without `parallel_for`, the runs are
+  /// probed and appended serially, row by row. The 2-column all-kNumber
+  /// shape hashes and compares raw words on both paths. Consumes the
+  /// values (columns cleared, capacity kept). On error — the
+  /// "storage.insert_columns" failpoint, or the row-index ceiling, checked
+  /// against the candidate count — the relation and the runs are
+  /// unmodified.
+  Result<size_t> InsertRuns(const std::vector<StagedRun*>& runs,
+                            const ParallelForFn& parallel_for = nullptr,
+                            const MergePhaseFn& on_phase = nullptr,
+                            ShardedRuns* scratch = nullptr);
 
   /// Deletes every tuple of `batch` that is currently present and returns
   /// the number of rows actually erased (absent tuples and wrong-arity
@@ -216,9 +254,9 @@ class Relation {
   size_t EraseRows(const std::vector<uint8_t>& dead);
 
   /// Materializes all rows, moves them out, and leaves the relation empty
-  /// (schema kept; columns, dedup table and cached indexes dropped). For
-  /// callers that use a scratch Relation purely as a batch deduplicator —
-  /// insert, then take the surviving rows.
+  /// (schema kept, as after Clear()). For callers that use a scratch
+  /// Relation purely as a batch deduplicator — insert, then take the
+  /// surviving rows.
   std::vector<Tuple> ReleaseRows();
 
   /// Columnar analogue of ReleaseRows: moves the surviving values out as
@@ -251,6 +289,9 @@ class Relation {
     return columns_[col].Get(row);
   }
 
+  /// Removes every row and cached index. Column capacity is kept for the
+  /// next fill, and so is the dedup table unless it is oversized for the
+  /// rows it held.
   void Clear();
 
   /// Builds (or returns a cached) hash index mapping the projection of each
@@ -369,30 +410,28 @@ class Relation {
   // probes it once per derived tuple, and a duplicate check costs one
   // cache line of slot metadata plus (only on a hash match) one
   // column-wise row comparison. Rehashing re-seats the cached hashes
-  // without touching any value.
-  struct DedupSlot {
-    uint32_t hash = 0;
-    uint32_t row = kEmptySlot;
-  };
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
+  // without touching any value (ReserveHashSlots). A slot's index is a
+  // row index.
+  static constexpr uint32_t kEmptySlot = HashSlot::kEmpty;
 
   // Probes for a candidate row of `cand_arity` values (with precomputed
   // hash mix `h32`) whose column-c value is `cand(c)`. Returns the
   // matching row index, or kEmptySlot if absent — in which case *slot_out
   // is the insertion position (valid until the table grows).
+  // The table must be non-empty.
   template <typename RowFn>
   uint32_t DedupProbe(size_t cand_arity, RowFn&& cand, uint32_t h32,
                       size_t* slot_out) const {
     size_t mask = dedup_slots_.size() - 1;  // size is a power of two
     size_t pos = h32 & mask;
     while (true) {
-      const DedupSlot& slot = dedup_slots_[pos];
-      if (slot.row == kEmptySlot) {
+      const HashSlot& slot = dedup_slots_[pos];
+      if (slot.index == kEmptySlot) {
         if (slot_out != nullptr) *slot_out = pos;
         return kEmptySlot;
       }
-      if (slot.hash == h32 && RowEquals(slot.row, cand_arity, cand)) {
-        return slot.row;
+      if (slot.hash == h32 && RowEquals(slot.index, cand_arity, cand)) {
+        return slot.index;
       }
       pos = (pos + 1) & mask;
     }
@@ -411,8 +450,13 @@ class Relation {
   // 32-bit row-index ceiling or the injected test limit.
   Status CheckRoom(size_t extra) const;
 
-  // Grows the slot table so `want` entries fit under the max load factor.
-  void DedupReserve(size_t want);
+  // DedupProbe for an arity-2 all-kNumber row given its raw words.
+  uint32_t PairProbe(int64_t a, int64_t b, uint32_t h32,
+                     size_t* slot_out) const;
+
+  // True when a batch whose values are all kNumber may take the unboxed
+  // arity-2 path: both columns uniform, and kNumber unless still empty.
+  bool PairColumnsReady() const;
 
   // Sizes columns_ for tuples of the given arity (first insert on a
   // schema-less relation) and reserves room for `want` rows total.
@@ -421,9 +465,14 @@ class Relation {
   // Appends one boxed row across the columns.
   void AppendRow(const Tuple& t);
 
-  // Unboxed arity-2 all-kNumber batch insert; returns tuples admitted.
-  size_t InsertPairNumeric(const std::vector<Value>& c0,
-                           const std::vector<Value>& c1);
+  // The two InsertRuns paths (see there); both return tuples admitted.
+  // `pair` selects the unboxed arity-2 all-kNumber row handling.
+  size_t InsertRunsSerial(const std::vector<StagedRun*>& runs, size_t arity,
+                          bool pair);
+  size_t InsertRunsSharded(const std::vector<StagedRun*>& runs, size_t arity,
+                           bool pair, const ParallelForFn& parallel_for,
+                           const MergePhaseFn& on_phase,
+                           ShardedRuns* sharded);
 
   struct CachedIndex {
     std::vector<int> key_columns;
@@ -440,7 +489,7 @@ class Relation {
   RelationSchema schema_;
   size_t row_count_ = 0;
   std::vector<ValueColumn> columns_;  // one per schema column
-  std::vector<DedupSlot> dedup_slots_;  // size is a power of two (or 0)
+  std::vector<HashSlot> dedup_slots_;  // size is a power of two (or 0)
   size_t row_limit_ = static_cast<size_t>(kEmptySlot) - 1;
   // Lazily-materialized boxed view backing rows(). rows_cached_ is the
   // watermark of materialized rows. Mutable: a logically-const

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "common/lexer.h"
 #include "common/status.h"
 #include "common/str_util.h"
@@ -99,6 +101,24 @@ TEST(TupleTest, HashAndToString) {
   Tuple b = {Value::Number(1), Value::Symbol(t.Intern("x"))};
   EXPECT_EQ(TupleHash()(a), TupleHash()(b));
   EXPECT_EQ(TupleToString(a, &t), "(1, \"x\")");
+}
+
+TEST(TupleTest, HashSpreadsSmallIdGrid) {
+  // Pairs of small integer ids — the common key shape — must not collide:
+  // >= 99.9% distinct 64-bit hashes over the 300 x 300 grid. Mixed, their
+  // low 16 bits (what a 64K-slot table indexes by) spread as if random.
+  std::unordered_set<size_t> hashes;
+  std::unordered_set<size_t> low_bits;
+  for (int a = 1; a <= 300; ++a) {
+    for (int b = 1; b <= 300; ++b) {
+      const size_t h = TupleHash()({Value::Number(a), Value::Number(b)});
+      hashes.insert(h);
+      low_bits.insert(HashMix(h) & 0xffff);
+    }
+  }
+  EXPECT_GE(hashes.size(), 89910u);  // 99.9% of 90,000
+  // A random hash fills 65536 * (1 - e^(-90000/65536)) ~ 48,937 buckets.
+  EXPECT_GE(low_bits.size(), 46490u);  // 95% of that
 }
 
 TEST(StrUtilTest, JoinSplit) {

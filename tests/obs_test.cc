@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -183,6 +184,73 @@ TEST(ObsTraceTest, TracingIsResultNeutral) {
   const Relation* traced = *traced_db.GetRelation("tc");
   const Relation* plain = *plain_db.GetRelation("tc");
   EXPECT_EQ(traced->MaterializeRows(), plain->MaterializeRows());
+}
+
+// A random graph whose transitive closure makes fixpoint rounds offer tens
+// of thousands of candidates: big enough for the sharded merge kernel.
+Database MakeRandomGraphDb(int nodes, int edges, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> node(1, nodes);
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < edges; ++i) pairs.emplace_back(node(rng), node(rng));
+  return MakeGraphDb(pairs);
+}
+
+// True iff an event's name is `label`, or `label` plus an index.
+bool SpanIs(const obs::TraceEvent& e, const std::string& label) {
+  return e.name == label || e.name.rfind(label + " ", 0) == 0;
+}
+
+// True iff some `child` event nests, on the same thread, inside some
+// `parent` event.
+bool NestsIn(const std::vector<obs::TraceEvent>& events,
+             const std::string& child, const std::string& parent) {
+  for (const obs::TraceEvent& c : events) {
+    if (!SpanIs(c, child)) continue;
+    for (const obs::TraceEvent& p : events) {
+      if (SpanIs(p, parent) && p.tid == c.tid && p.ts_us <= c.ts_us &&
+          c.ts_us + c.dur_us <= p.ts_us + p.dur_us) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(ObsTraceTest, MergeSpansSplitIntoProbeAppendAndIndexFold) {
+  // With a pool, big merges run the sharded kernel: probe (hash,
+  // partition, decide), append and index fold each get a child span of
+  // datalog.merge. Serially, the probe appends as it goes, so there is no
+  // append span.
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Database db = MakeRandomGraphDb(300, 900, 17);
+    engine::EvalOptions options;
+    options.num_threads = threads;
+    obs::TraceSession session;
+    ASSERT_TRUE(DatalogEngine(options).Run(Parse(kTc), &db).ok());
+    const std::vector<obs::TraceEvent> events = session.Events();
+    EXPECT_TRUE(NestsIn(events, "datalog.merge.probe", "datalog.merge"));
+    EXPECT_TRUE(NestsIn(events, "datalog.merge.index_fold", "datalog.merge"));
+    EXPECT_EQ(NestsIn(events, "datalog.merge.append", "datalog.merge"),
+              threads > 1);
+  }
+}
+
+TEST(ObsTraceTest, SqlMergeSpanInsideEachRound) {
+  // The vectorized engine's merge into the CTE relation has its own span
+  // inside sql.round, serial and partitioned alike.
+  auto sqir = sqir::TranslateToSqir(Parse(kTc));
+  ASSERT_TRUE(sqir.ok()) << sqir.status().ToString();
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Database db = MakeRandomGraphDb(300, 900, 17);
+    engine::SqlOptions options;
+    options.num_threads = threads;
+    obs::TraceSession session;
+    ASSERT_TRUE(SqlEngine(options).Run(*sqir, &db).ok());
+    EXPECT_TRUE(NestsIn(session.Events(), "sql.merge", "sql.round"));
+  }
 }
 
 // ---------------------------------------------------------------------------
