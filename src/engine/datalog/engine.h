@@ -14,6 +14,10 @@
 //    previous iteration's delta.
 //  * Join order inside a rule is chosen greedily (most-bound-arguments
 //    first); probes use incrementally-maintained hash indexes.
+//  * Rule compilation, variant planning, the join loop, the task fan-out
+//    and the merge are the rule kernel's (rule_kernel.h), which serves
+//    this engine and incremental maintenance (incremental.h) alike; the
+//    two differ only in which rows each plan step reads.
 //  * Lattice relations (RelationDecl::lattice = min/max on the last
 //    column) merge instead of union: an insert only "counts" if it
 //    improves the best value for the key prefix. This gives terminating
@@ -115,6 +119,11 @@ class DatalogEngine {
              EvalStats* stats = nullptr,
              obs::DatalogMetrics* metrics = nullptr,
              const runtime::QueryGuard* guard = nullptr) const;
+
+  /// The context Run executes on: its pool (null when serial) and object
+  /// pools. Incremental maintenance runs its rule variants and merges on
+  /// the same one.
+  runtime::ExecutionContext* context() const { return context_.get(); }
 
  private:
   EvalOptions options_;

@@ -12,206 +12,39 @@
 #include <vector>
 
 #include "analysis/dependency_graph.h"
-#include "engine/value_ops.h"
-#include "runtime/execution_context.h"
-#include "runtime/thread_pool.h"
+#include "engine/datalog/rule_kernel.h"
+#include "obs/trace.h"
 
 namespace raqlet::engine {
 
 namespace {
 
-using dlir::ArithOp;
-using dlir::CmpOp;
-using dlir::Constant;
+using datalog::CompiledAtom;
+using datalog::CompiledRule;
+using datalog::EmitBuffer;
+using datalog::PlanStep;
+using datalog::RuleKernel;
+using datalog::VariantPlan;
 using dlir::LatticeKind;
 using dlir::Rule;
 using dlir::Term;
 using dlir::TermKind;
 
 // ---------------------------------------------------------------------------
-// Compiled rule representation. Mirrors the main engine's (variables become
-// dense slots, constants become interned Values) but is owned here: the
-// incremental evaluator needs per-atom state selection (NEW vs pre-delta
-// OLD) and delta-list join sources, which the engine's plans do not model.
-// ---------------------------------------------------------------------------
-
-struct CTerm {
-  enum Kind { kConst, kVar, kWildcard, kBinary };
-  Kind kind = kWildcard;
-  Value constant;
-  int var = -1;
-  ArithOp op = ArithOp::kAdd;
-  std::vector<CTerm> children;
-
-  bool IsBoundUnder(const std::vector<bool>& bound) const {
-    switch (kind) {
-      case kConst:
-        return true;
-      case kVar:
-        return bound[static_cast<size_t>(var)];
-      case kWildcard:
-        return false;
-      case kBinary:
-        return children[0].IsBoundUnder(bound) &&
-               children[1].IsBoundUnder(bound);
-    }
-    return false;
-  }
-
-  bool HasBinary() const { return kind == kBinary; }
-};
-
-struct CAtom {
-  std::string predicate;
-  Relation* relation = nullptr;  // live relation (size used as heuristic)
-  bool negated = false;
-  bool in_scc = false;  // predicate belongs to the rule's own SCC
-  std::vector<CTerm> args;
-
-  bool HasBinaryArg() const {
-    for (const CTerm& a : args) {
-      if (a.HasBinary()) return true;
-    }
-    return false;
-  }
-};
-
-struct CConstraint {
-  CmpOp op = CmpOp::kEq;
-  CTerm lhs;
-  CTerm rhs;
-};
-
-struct CRule {
-  const Rule* source = nullptr;
-  std::string head_predicate;
-  Relation* head_relation = nullptr;
-  std::vector<CTerm> head_args;
-  size_t num_vars = 0;
-  std::vector<CAtom> atoms;  // positive first, then negated
-  std::vector<CConstraint> constraints;
-};
-
-Result<Value> ConstantToValue(const Constant& c, SymbolTable* symbols) {
-  switch (c.type) {
-    case ValueType::kNumber:
-      return Value::Number(c.num);
-    case ValueType::kFloat:
-      return Value::Float(c.fval);
-    case ValueType::kSymbol:
-      return Value::Symbol(symbols->Intern(c.str));
-    case ValueType::kBool:
-      return Value::Bool(c.bval);
-    case ValueType::kNull:
-      return Value::Null();
-  }
-  return Status::Internal("unhandled constant type");
-}
-
-Result<CTerm> CompileTerm(const Term& term, std::map<std::string, int>* slots,
-                          SymbolTable* symbols) {
-  CTerm out;
-  switch (term.kind) {
-    case TermKind::kConstant: {
-      out.kind = CTerm::kConst;
-      RAQLET_ASSIGN_OR_RETURN(out.constant,
-                              ConstantToValue(term.constant, symbols));
-      return out;
-    }
-    case TermKind::kVariable: {
-      out.kind = CTerm::kVar;
-      auto it = slots->find(term.var);
-      if (it == slots->end()) {
-        int id = static_cast<int>(slots->size());
-        slots->emplace(term.var, id);
-        out.var = id;
-      } else {
-        out.var = it->second;
-      }
-      return out;
-    }
-    case TermKind::kWildcard:
-      out.kind = CTerm::kWildcard;
-      return out;
-    case TermKind::kBinary: {
-      out.kind = CTerm::kBinary;
-      out.op = term.op;
-      RAQLET_ASSIGN_OR_RETURN(CTerm lhs,
-                              CompileTerm(term.children[0], slots, symbols));
-      RAQLET_ASSIGN_OR_RETURN(CTerm rhs,
-                              CompileTerm(term.children[1], slots, symbols));
-      out.children.push_back(std::move(lhs));
-      out.children.push_back(std::move(rhs));
-      return out;
-    }
-  }
-  return Status::Internal("unhandled term kind");
-}
-
-Result<CRule> CompileRule(const Rule& rule,
-                          const std::set<std::string>& scc_preds,
-                          const std::unordered_map<std::string, Relation*>& rels,
-                          SymbolTable* symbols) {
-  CRule out;
-  out.source = &rule;
-  out.head_predicate = rule.head.predicate;
-  auto head_it = rels.find(rule.head.predicate);
-  if (head_it == rels.end()) {
-    return Status::NotFound("undeclared head predicate: " +
-                            rule.head.predicate);
-  }
-  out.head_relation = head_it->second;
-  std::map<std::string, int> slots;
-  for (bool negated_pass : {false, true}) {
-    for (const dlir::Atom& atom : rule.body) {
-      if (atom.negated != negated_pass) continue;
-      CAtom ca;
-      ca.predicate = atom.predicate;
-      auto it = rels.find(atom.predicate);
-      if (it == rels.end()) {
-        return Status::NotFound("undeclared predicate: " + atom.predicate);
-      }
-      ca.relation = it->second;
-      ca.negated = atom.negated;
-      ca.in_scc = scc_preds.count(atom.predicate) > 0;
-      for (const Term& arg : atom.args) {
-        RAQLET_ASSIGN_OR_RETURN(CTerm t, CompileTerm(arg, &slots, symbols));
-        ca.args.push_back(std::move(t));
-      }
-      out.atoms.push_back(std::move(ca));
-    }
-  }
-  for (const dlir::Constraint& c : rule.constraints) {
-    CConstraint cc;
-    cc.op = c.op;
-    RAQLET_ASSIGN_OR_RETURN(cc.lhs, CompileTerm(c.lhs, &slots, symbols));
-    RAQLET_ASSIGN_OR_RETURN(cc.rhs, CompileTerm(c.rhs, &slots, symbols));
-    out.constraints.push_back(std::move(cc));
-  }
-  for (const Term& arg : rule.head.args) {
-    RAQLET_ASSIGN_OR_RETURN(CTerm t, CompileTerm(arg, &slots, symbols));
-    out.head_args.push_back(std::move(t));
-  }
-  out.num_vars = slots.size();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Per-predicate delta state: the net change one ApplyDelta made. The OLD
-// (pre-delta) contents of a changed relation R are reconstructed as
-// (live(R) ∖ added) ∪ minus — live rows are filtered through added_set and
-// the erased rows live on in the indexable `minus` relation. Rederivation
-// appends tuples in arbitrary row positions, so a row-watermark cannot
-// stand in for this.
+// Per-predicate delta state: the net change one ApplyDelta made, sealed
+// into small columnar relations. The OLD (pre-delta) contents of a changed
+// relation R are (live(R) ∖ added) ∪ removed, which rule variants read as
+// two join sources: the live relation with its `added_rows` masked out,
+// and the `removed` relation. Rederivation appends tuples in arbitrary row
+// positions, so a row watermark cannot stand in for the mask.
 // ---------------------------------------------------------------------------
 
 struct PredState {
-  std::vector<Tuple> added;    // net-new tuples, in insertion order
-  std::vector<Tuple> removed;  // net-erased tuples, in erase order
-  std::unordered_set<Tuple, TupleHash> added_set;
-  std::unique_ptr<Relation> minus;  // holds `removed`, for OLD-side probes
+  std::unique_ptr<Relation> added;    // net-new tuples, in insertion order
+  std::unique_ptr<Relation> removed;  // net-erased tuples, in erase order
+  std::vector<uint8_t> added_rows;    // live rows that are net-new
 
-  bool changed() const { return !added.empty() || !removed.empty(); }
+  bool changed() const { return !added->empty() || !removed->empty(); }
 };
 
 using PredStates = std::unordered_map<std::string, PredState>;
@@ -221,596 +54,141 @@ const PredState* StateOf(const PredStates& states, const std::string& pred) {
   return it == states.end() ? nullptr : &it->second;
 }
 
-Status SealState(const Relation& live, PredState* st) {
-  st->added_set.clear();
-  for (const Tuple& t : st->added) st->added_set.insert(t);
-  st->minus = std::make_unique<Relation>(live.schema());
-  return st->minus->InsertBatch(st->removed).status();
-}
-
-Tuple MatRow(const Relation& rel, size_t row) {
-  Tuple t;
-  t.reserve(rel.arity());
-  for (size_t c = 0; c < rel.arity(); ++c) t.push_back(rel.ValueAt(row, c));
-  return t;
-}
-
-// Does the (NEW or OLD) state of `rel` contain any tuple matching `key` on
-// `cols`? Empty `cols` asks whether the state is non-empty at all.
-bool StateExists(const Relation& rel, const PredState* st, bool old_state,
-                 const std::vector<int>& cols, const Tuple& key) {
-  if (!old_state || st == nullptr) {
-    if (cols.empty()) return rel.size() > 0;
-    auto it = rel.EnsureIndex(cols)->find(key);
-    return it != rel.EnsureIndex(cols)->end() && !it->second.empty();
-  }
-  // OLD: a live row not in added_set, or an erased row in minus.
-  if (cols.empty()) {
-    if (rel.size() > st->added_set.size()) return true;
-    for (size_t r = 0; r < rel.size(); ++r) {
-      if (st->added_set.count(MatRow(rel, r)) == 0) return true;
+// Seals the net change of `live`, which already holds `added` and no
+// longer holds `removed`. `live` must not mutate while the state is read.
+Result<PredState> Seal(const Relation& live, std::vector<Tuple> added,
+                       std::vector<Tuple> removed) {
+  PredState st;
+  st.added_rows.assign(live.size(), 0);
+  for (const Tuple& t : added) {
+    const size_t row = live.RowOf(t);
+    if (row == Relation::kNoRow) {
+      return Status::Internal("net-added tuple missing from '" + live.name() +
+                              "'");
     }
-  } else {
-    auto it = rel.EnsureIndex(cols)->find(key);
-    if (it != rel.EnsureIndex(cols)->end()) {
-      for (uint32_t row : it->second) {
-        if (st->added_set.count(MatRow(rel, row)) == 0) return true;
+    st.added_rows[row] = 1;
+  }
+  st.added = std::make_unique<Relation>(live.schema());
+  st.removed = std::make_unique<Relation>(live.schema());
+  RAQLET_RETURN_IF_ERROR(st.added->InsertBatch(std::move(added)).status());
+  RAQLET_RETURN_IF_ERROR(st.removed->InsertBatch(std::move(removed)).status());
+  return st;
+}
+
+// Does the NEW (or, with `old`, the pre-delta) state of `live` hold a row
+// matching `key` on `cols`? Empty `cols` asks whether it holds any row.
+bool Exists(const Relation& live, const PredState* st, bool old,
+            const std::vector<int>& cols, const Tuple& key) {
+  auto any = [&](const Relation& rel, const std::vector<uint8_t>* skip) {
+    auto kept = [skip](size_t row) { return skip == nullptr || !(*skip)[row]; };
+    if (cols.empty()) {
+      for (size_t row = 0; row < rel.size(); ++row) {
+        if (kept(row)) return true;
       }
+      return false;
     }
-  }
-  if (st->minus == nullptr || st->minus->empty()) return false;
-  if (cols.empty()) return true;
-  auto mit = st->minus->EnsureIndex(cols)->find(key);
-  return mit != st->minus->EnsureIndex(cols)->end() && !mit->second.empty();
-}
-
-// ---------------------------------------------------------------------------
-// Variant plans. A variant is (rule, delta_atom): the delta atom's rows
-// come from a delta list instead of its relation. When the delta atom's
-// args are plain vars/consts/wildcards the list is enumerated directly as
-// the outermost join ("delta-first"); an atom with computed (binary) args
-// cannot unify from a bare tuple, so it stays in greedy join position and
-// its state enumeration is intersected with the delta set instead.
-// ---------------------------------------------------------------------------
-
-struct Step {
-  enum Kind { kJoin, kNeg, kFilter, kBind };
-  Kind kind = kJoin;
-  int atom = -1;
-  int constraint = -1;
-  int bind_var = -1;
-  bool bind_from_lhs = false;
-  std::vector<int> probe_cols;
-};
-
-struct Plan {
-  std::vector<Step> steps;
-  int delta_atom = -1;
-  bool delta_first = false;  // delta list enumerated as the join source
-  bool delta_keys = false;   // delta tuples are negated-atom projection keys
-};
-
-// True when the delta list can be enumerated directly as a join source.
-bool CanSourceDirectly(const CAtom& atom) { return !atom.HasBinaryArg(); }
-
-Result<Plan> PlanRule(const CRule& rule, int delta_atom, bool delta_keys,
-                      bool reorder, const std::vector<bool>* initial_bound) {
-  Plan plan;
-  plan.delta_atom = delta_atom;
-  plan.delta_keys = delta_keys;
-  std::vector<bool> bound(rule.num_vars, false);
-  if (initial_bound != nullptr) bound = *initial_bound;
-  std::vector<bool> atom_done(rule.atoms.size(), false);
-  std::vector<bool> constraint_done(rule.constraints.size(), false);
-
-  const bool delta_first =
-      delta_atom >= 0 &&
-      (delta_keys ||
-       CanSourceDirectly(rule.atoms[static_cast<size_t>(delta_atom)]));
-  plan.delta_first = delta_first;
-  if (delta_atom >= 0 && rule.atoms[static_cast<size_t>(delta_atom)].negated &&
-      !delta_keys) {
-    return Status::Internal("negated delta atom requires key mode");
-  }
-
-  auto mark_atom_vars = [&](const CAtom& atom, bool skip_wildcard_positions) {
-    (void)skip_wildcard_positions;
-    for (const CTerm& arg : atom.args) {
-      if (arg.kind == CTerm::kVar) bound[static_cast<size_t>(arg.var)] = true;
-    }
+    const Relation::KeyIndex* index = rel.EnsureIndex(cols);
+    auto it = index->find(key);
+    if (it == index->end()) return false;
+    return std::any_of(it->second.begin(), it->second.end(), kept);
   };
-
-  auto probe_cols_for = [&](const CAtom& atom) {
-    std::vector<int> cols;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const CTerm& arg = atom.args[i];
-      if (arg.kind == CTerm::kWildcard) continue;
-      if (arg.IsBoundUnder(bound)) cols.push_back(static_cast<int>(i));
-    }
-    return cols;
-  };
-
-  auto schedule_constraints = [&]() {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t i = 0; i < rule.constraints.size(); ++i) {
-        if (constraint_done[i]) continue;
-        const CConstraint& c = rule.constraints[i];
-        bool lhs_bound = c.lhs.IsBoundUnder(bound);
-        bool rhs_bound = c.rhs.IsBoundUnder(bound);
-        if (lhs_bound && rhs_bound) {
-          Step step;
-          step.kind = Step::kFilter;
-          step.constraint = static_cast<int>(i);
-          plan.steps.push_back(step);
-          constraint_done[i] = true;
-          changed = true;
-        } else if (c.op == CmpOp::kEq && rhs_bound &&
-                   c.lhs.kind == CTerm::kVar) {
-          Step step;
-          step.kind = Step::kBind;
-          step.constraint = static_cast<int>(i);
-          step.bind_var = c.lhs.var;
-          step.bind_from_lhs = true;
-          plan.steps.push_back(step);
-          bound[static_cast<size_t>(c.lhs.var)] = true;
-          constraint_done[i] = true;
-          changed = true;
-        } else if (c.op == CmpOp::kEq && lhs_bound &&
-                   c.rhs.kind == CTerm::kVar) {
-          Step step;
-          step.kind = Step::kBind;
-          step.constraint = static_cast<int>(i);
-          step.bind_var = c.rhs.var;
-          step.bind_from_lhs = false;
-          plan.steps.push_back(step);
-          bound[static_cast<size_t>(c.rhs.var)] = true;
-          constraint_done[i] = true;
-          changed = true;
-        }
-      }
-      for (size_t i = 0; i < rule.atoms.size(); ++i) {
-        if (atom_done[i] || !rule.atoms[i].negated) continue;
-        bool all_bound = true;
-        for (const CTerm& arg : rule.atoms[i].args) {
-          if (arg.kind == CTerm::kWildcard) continue;
-          if (!arg.IsBoundUnder(bound)) {
-            all_bound = false;
-            break;
-          }
-        }
-        if (all_bound) {
-          Step step;
-          step.kind = Step::kNeg;
-          step.atom = static_cast<int>(i);
-          step.probe_cols = probe_cols_for(rule.atoms[i]);
-          plan.steps.push_back(std::move(step));
-          atom_done[i] = true;
-          changed = true;
-        }
-      }
-    }
-  };
-
-  // A negated delta atom is consumed as the key source: its ¬∃ condition
-  // is already encoded in the key's sign, so no NegCheck is planned.
-  if (delta_atom >= 0 && delta_keys) {
-    atom_done[static_cast<size_t>(delta_atom)] = true;
-  }
-
-  schedule_constraints();
-
-  if (delta_first) {
-    Step step;
-    step.kind = Step::kJoin;
-    step.atom = delta_atom;
-    plan.steps.push_back(std::move(step));
-    const CAtom& atom = rule.atoms[static_cast<size_t>(delta_atom)];
-    if (delta_keys) {
-      // Keys carry the non-wildcard positions only.
-      for (const CTerm& arg : atom.args) {
-        if (arg.kind == CTerm::kVar) {
-          bound[static_cast<size_t>(arg.var)] = true;
-        }
-      }
-    } else {
-      mark_atom_vars(atom, false);
-    }
-    atom_done[static_cast<size_t>(delta_atom)] = true;
-    schedule_constraints();
-  }
-
-  size_t positive_remaining = 0;
-  for (size_t i = 0; i < rule.atoms.size(); ++i) {
-    if (!atom_done[i] && !rule.atoms[i].negated) ++positive_remaining;
-  }
-
-  while (positive_remaining > 0) {
-    int best = -1;
-    int best_score = -1;
-    size_t best_size = 0;
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      if (atom_done[i] || rule.atoms[i].negated) continue;
-      if (!reorder) {
-        best = static_cast<int>(i);
-        break;
-      }
-      int score = 0;
-      for (const CTerm& arg : rule.atoms[i].args) {
-        if (arg.kind != CTerm::kWildcard && arg.IsBoundUnder(bound)) ++score;
-      }
-      size_t size = rule.atoms[i].relation->size();
-      if (score > best_score ||
-          (score == best_score && (best < 0 || size < best_size))) {
-        best = static_cast<int>(i);
-        best_score = score;
-        best_size = size;
-      }
-    }
-    if (best < 0) {
-      return Status::Internal(
-          "incremental planner found no placeable atom for rule head '" +
-          rule.head_predicate + "'");
-    }
-    Step step;
-    step.kind = Step::kJoin;
-    step.atom = best;
-    step.probe_cols = probe_cols_for(rule.atoms[static_cast<size_t>(best)]);
-    plan.steps.push_back(std::move(step));
-    atom_done[static_cast<size_t>(best)] = true;
-    mark_atom_vars(rule.atoms[static_cast<size_t>(best)], false);
-    --positive_remaining;
-    schedule_constraints();
-  }
-
-  for (size_t i = 0; i < rule.constraints.size(); ++i) {
-    if (!constraint_done[i]) {
-      return Status::Internal(
-          "constraint never became evaluable in incremental rule: " +
-          rule.source->ToString());
-    }
-  }
-  for (size_t i = 0; i < rule.atoms.size(); ++i) {
-    if (!atom_done[i]) {
-      return Status::Internal(
-          "negated atom never fully bound in incremental rule: " +
-          rule.source->ToString());
-    }
-  }
-  return plan;
+  if (!old || st == nullptr) return any(live, nullptr);
+  return any(live, &st->added_rows) || any(*st->removed, nullptr);
 }
 
-// ---------------------------------------------------------------------------
-// Variant execution.
-// ---------------------------------------------------------------------------
-
-struct Env {
-  std::vector<Value> values;
-  std::vector<bool> bound;
-  explicit Env(size_t n) : values(n), bound(n, false) {}
+// For a changed negated atom: the distinct projection keys (onto the
+// atom's non-wildcard positions) whose ¬∃ truth value flipped, as key
+// relations. `plus` keys flipped false→true (¬ now holds), `minus` keys
+// true→false; `col_of` maps each atom position onto its key column.
+struct NegFlips {
+  std::unique_ptr<Relation> plus;
+  std::unique_ptr<Relation> minus;
+  std::vector<int> col_of;
 };
 
-Result<Value> EvalCTerm(const CTerm& term, const Env& env) {
-  switch (term.kind) {
-    case CTerm::kConst:
-      return term.constant;
-    case CTerm::kVar:
-      if (!env.bound[static_cast<size_t>(term.var)]) {
-        return Status::Internal("evaluating unbound variable slot");
-      }
-      return env.values[static_cast<size_t>(term.var)];
-    case CTerm::kWildcard:
-      return Status::Internal("evaluating wildcard term");
-    case CTerm::kBinary: {
-      RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalCTerm(term.children[0], env));
-      RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalCTerm(term.children[1], env));
-      return EvalArith(term.op, lhs, rhs);
-    }
-  }
-  return Status::Internal("unhandled term kind");
-}
-
-// One variant evaluation over a fixed state assignment. `use_old[i]`
-// selects the pre-delta state for atom i; `delta` supplies the delta
-// atom's tuples (or keys); out-mode appends every derived head to `out`,
-// check-mode instead searches for one derivation emitting exactly
-// `target` (with the env pre-bound from the target's head positions).
-class VariantEval {
- public:
-  VariantEval(const CRule& rule, const Plan& plan, const PredStates& states,
-              const std::vector<uint8_t>& use_old,
-              const std::vector<Tuple>* delta,
-              const std::unordered_set<Tuple, TupleHash>* delta_filter,
-              const SymbolTable& symbols)
-      : rule_(rule),
-        plan_(plan),
-        states_(states),
-        use_old_(use_old),
-        delta_(delta),
-        delta_filter_(delta_filter),
-        symbols_(symbols) {}
-
-  // Out-mode: evaluate delta rows [begin, end) (the full range when the
-  // plan is not delta-first), appending derived heads to `out`.
-  Status Run(size_t begin, size_t end, std::vector<Tuple>* out) {
-    out_ = out;
-    target_ = nullptr;
-    found_ = false;
-    range_begin_ = begin;
-    range_end_ = end;
-    Env env(rule_.num_vars);
-    return Exec(0, &env);
-  }
-
-  // Check-mode: is `target` derivable? Pre-binds head variables.
-  Result<bool> Check(const Tuple& target) {
-    out_ = nullptr;
-    target_ = &target;
-    found_ = false;
-    range_begin_ = 0;
-    range_end_ = std::numeric_limits<size_t>::max();
-    Env env(rule_.num_vars);
-    // Pre-bind env slots from the target's head positions; a constant
-    // mismatch (or inconsistent repeated variable) proves non-derivability
-    // outright. Binary head terms are left to the emission-time compare.
-    for (size_t i = 0; i < rule_.head_args.size(); ++i) {
-      const CTerm& arg = rule_.head_args[i];
-      if (arg.kind == CTerm::kConst) {
-        if (!(arg.constant == target[i])) return false;
-      } else if (arg.kind == CTerm::kVar) {
-        size_t slot = static_cast<size_t>(arg.var);
-        if (env.bound[slot]) {
-          if (!(env.values[slot] == target[i])) return false;
-        } else {
-          env.values[slot] = target[i];
-          env.bound[slot] = true;
-        }
-      }
-    }
-    RAQLET_RETURN_IF_ERROR(Exec(0, &env));
-    return found_;
-  }
-
- private:
-  Status Exec(size_t step_index, Env* env);
-  Status EmitHead(Env* env);
-  Result<bool> Unify(const CAtom& atom, const Tuple& t, Env* env,
-                     std::vector<size_t>* newly_bound);
-  Result<bool> UnifyKeys(const CAtom& atom, const Tuple& key, Env* env,
-                         std::vector<size_t>* newly_bound);
-
-  bool Done() const { return target_ != nullptr && found_; }
-
-  const CRule& rule_;
-  const Plan& plan_;
-  const PredStates& states_;
-  const std::vector<uint8_t>& use_old_;
-  const std::vector<Tuple>* delta_;
-  const std::unordered_set<Tuple, TupleHash>* delta_filter_;
-  const SymbolTable& symbols_;
-  std::vector<Tuple>* out_ = nullptr;
-  const Tuple* target_ = nullptr;
-  bool found_ = false;
-  size_t range_begin_ = 0;
-  size_t range_end_ = std::numeric_limits<size_t>::max();
-};
-
-Status VariantEval::EmitHead(Env* env) {
-  Tuple head;
-  head.reserve(rule_.head_args.size());
-  for (const CTerm& arg : rule_.head_args) {
-    RAQLET_ASSIGN_OR_RETURN(Value v, EvalCTerm(arg, *env));
-    head.push_back(v);
-  }
-  if (target_ != nullptr) {
-    if (head == *target_) found_ = true;
-    return Status::OK();
-  }
-  out_->push_back(std::move(head));
-  return Status::OK();
-}
-
-Result<bool> VariantEval::Unify(const CAtom& atom, const Tuple& t, Env* env,
-                                std::vector<size_t>* newly_bound) {
-  newly_bound->clear();
+Result<NegFlips> NegKeyDeltas(const CompiledAtom& atom, const PredState& st,
+                              const PredStates& states) {
+  NegFlips flips;
+  std::vector<int> proj;
+  RelationSchema schema;
+  schema.name = atom.predicate;
   for (size_t i = 0; i < atom.args.size(); ++i) {
-    const CTerm& arg = atom.args[i];
-    switch (arg.kind) {
-      case CTerm::kWildcard:
-        break;
-      case CTerm::kConst:
-        if (!(arg.constant == t[i])) return false;
-        break;
-      case CTerm::kVar: {
-        size_t slot = static_cast<size_t>(arg.var);
-        if (env->bound[slot]) {
-          if (!(env->values[slot] == t[i])) return false;
-        } else {
-          env->values[slot] = t[i];
-          env->bound[slot] = true;
-          newly_bound->push_back(slot);
-        }
-        break;
-      }
-      case CTerm::kBinary: {
-        RAQLET_ASSIGN_OR_RETURN(Value v, EvalCTerm(arg, *env));
-        if (!(v == t[i])) return false;
-        break;
-      }
+    if (atom.args[i].kind == datalog::CompiledTerm::kWildcard) {
+      flips.col_of.push_back(-1);
+      continue;
     }
+    flips.col_of.push_back(static_cast<int>(proj.size()));
+    proj.push_back(static_cast<int>(i));
+    schema.columns.push_back(atom.relation->schema().columns[i]);
   }
-  return true;
+  const PredState* state = StateOf(states, atom.predicate);
+  std::unordered_set<Tuple, TupleHash> seen;
+  std::vector<Tuple> plus;
+  std::vector<Tuple> minus;
+  auto consider = [&](const Tuple& t) {
+    Tuple key;
+    key.reserve(proj.size());
+    for (int p : proj) key.push_back(t[static_cast<size_t>(p)]);
+    if (!seen.insert(key).second) return;
+    const bool new_ex = Exists(*atom.relation, state, false, proj, key);
+    const bool old_ex = Exists(*atom.relation, state, true, proj, key);
+    if (old_ex && !new_ex) plus.push_back(std::move(key));
+    if (new_ex && !old_ex) minus.push_back(std::move(key));
+  };
+  for (const Tuple& t : st.added->MaterializeRows()) consider(t);
+  for (const Tuple& t : st.removed->MaterializeRows()) consider(t);
+  flips.plus = std::make_unique<Relation>(schema);
+  flips.minus = std::make_unique<Relation>(schema);
+  RAQLET_RETURN_IF_ERROR(flips.plus->InsertBatch(std::move(plus)).status());
+  RAQLET_RETURN_IF_ERROR(flips.minus->InsertBatch(std::move(minus)).status());
+  return flips;
 }
 
-Result<bool> VariantEval::UnifyKeys(const CAtom& atom, const Tuple& key,
-                                    Env* env,
-                                    std::vector<size_t>* newly_bound) {
-  newly_bound->clear();
-  size_t k = 0;
-  for (const CTerm& arg : atom.args) {
-    if (arg.kind == CTerm::kWildcard) continue;
-    const Value& v = key[k++];
-    switch (arg.kind) {
-      case CTerm::kConst:
-        if (!(arg.constant == v)) return false;
-        break;
-      case CTerm::kVar: {
-        size_t slot = static_cast<size_t>(arg.var);
-        if (env->bound[slot]) {
-          if (!(env->values[slot] == v)) return false;
-        } else {
-          env->values[slot] = v;
-          env->bound[slot] = true;
-          newly_bound->push_back(slot);
-        }
-        break;
-      }
-      default:
-        return Status::Internal("key unification over computed term");
+// Where a variant's delta atom reads its rows: [begin, end) of `rel`. A
+// negated delta atom reads projection keys, `col_of` mapping its argument
+// positions onto key columns.
+struct DeltaRows {
+  const Relation* rel = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+  const std::vector<int>* col_of = nullptr;
+
+  static DeltaRows All(const Relation& rel,
+                       const std::vector<int>* col_of = nullptr) {
+    return {&rel, 0, rel.size(), col_of};
+  }
+};
+
+// `Variant::first_old` when every atom reads its NEW state.
+constexpr size_t kAllNew = std::numeric_limits<size_t>::max();
+
+// One rule variant of a maintenance pass: the delta atom reads `delta`,
+// every other atom before `first_old` its NEW state and every one from
+// `first_old` on its pre-delta OLD state.
+struct Variant {
+  const CompiledRule* rule = nullptr;
+  int delta_atom = -1;
+  DeltaRows delta;
+  size_t first_old = kAllNew;
+};
+
+// Calls fn(head relation, tuple) for every derivation the buffers staged,
+// in task order, then recycles the buffers.
+template <typename Fn>
+Status ForEachHead(RuleKernel* kernel, std::vector<EmitBuffer>* buffers,
+                   Fn&& fn) {
+  Status status = Status::OK();
+  for (const EmitBuffer& buffer : *buffers) {
+    for (size_t row = 0; row < buffer.staged_rows && status.ok(); ++row) {
+      Tuple t;
+      t.reserve(buffer.staged.size());
+      for (const std::vector<Value>& col : buffer.staged) t.push_back(col[row]);
+      status = fn(buffer.target, std::move(t));
     }
   }
-  return true;
+  kernel->Recycle(buffers);
+  return status;
 }
-
-Status VariantEval::Exec(size_t step_index, Env* env) {
-  if (Done()) return Status::OK();
-  if (step_index == plan_.steps.size()) return EmitHead(env);
-  const Step& step = plan_.steps[step_index];
-  switch (step.kind) {
-    case Step::kFilter: {
-      const CConstraint& c =
-          rule_.constraints[static_cast<size_t>(step.constraint)];
-      RAQLET_ASSIGN_OR_RETURN(Value lhs, EvalCTerm(c.lhs, *env));
-      RAQLET_ASSIGN_OR_RETURN(Value rhs, EvalCTerm(c.rhs, *env));
-      if (!CheckCmp(c.op, lhs, rhs, symbols_)) return Status::OK();
-      return Exec(step_index + 1, env);
-    }
-    case Step::kBind: {
-      const CConstraint& c =
-          rule_.constraints[static_cast<size_t>(step.constraint)];
-      const CTerm& source = step.bind_from_lhs ? c.rhs : c.lhs;
-      RAQLET_ASSIGN_OR_RETURN(Value v, EvalCTerm(source, *env));
-      size_t slot = static_cast<size_t>(step.bind_var);
-      // Check-mode may have pre-bound this slot from the head: then the
-      // bind degrades to an equality filter.
-      if (env->bound[slot]) {
-        if (!(env->values[slot] == v)) return Status::OK();
-        return Exec(step_index + 1, env);
-      }
-      env->values[slot] = v;
-      env->bound[slot] = true;
-      Status s = Exec(step_index + 1, env);
-      env->bound[slot] = false;
-      return s;
-    }
-    case Step::kNeg: {
-      const CAtom& atom = rule_.atoms[static_cast<size_t>(step.atom)];
-      Tuple key;
-      key.reserve(step.probe_cols.size());
-      for (int col : step.probe_cols) {
-        RAQLET_ASSIGN_OR_RETURN(
-            Value v, EvalCTerm(atom.args[static_cast<size_t>(col)], *env));
-        key.push_back(v);
-      }
-      if (StateExists(*atom.relation, StateOf(states_, atom.predicate),
-                      use_old_[static_cast<size_t>(step.atom)] != 0,
-                      step.probe_cols, key)) {
-        return Status::OK();  // negation fails: prune
-      }
-      return Exec(step_index + 1, env);
-    }
-    case Step::kJoin: {
-      const CAtom& atom = rule_.atoms[static_cast<size_t>(step.atom)];
-      std::vector<size_t> newly_bound;
-      const bool is_delta_atom = plan_.delta_atom == step.atom;
-      if (is_delta_atom && plan_.delta_first) {
-        size_t n = delta_->size();
-        size_t begin = std::min(range_begin_, n);
-        size_t end = std::min(range_end_, n);
-        for (size_t i = begin; i < end; ++i) {
-          if (Done()) return Status::OK();
-          const Tuple& t = (*delta_)[i];
-          bool matched;
-          if (plan_.delta_keys) {
-            RAQLET_ASSIGN_OR_RETURN(matched,
-                                    UnifyKeys(atom, t, env, &newly_bound));
-          } else {
-            RAQLET_ASSIGN_OR_RETURN(matched, Unify(atom, t, env, &newly_bound));
-          }
-          Status s = Status::OK();
-          if (matched) s = Exec(step_index + 1, env);
-          for (size_t slot : newly_bound) env->bound[slot] = false;
-          RAQLET_RETURN_IF_ERROR(s);
-        }
-        return Status::OK();
-      }
-
-      const bool old_state = use_old_[static_cast<size_t>(step.atom)] != 0;
-      const PredState* st = StateOf(states_, atom.predicate);
-      const Relation& live = *atom.relation;
-
-      Tuple key;
-      key.reserve(step.probe_cols.size());
-      for (int col : step.probe_cols) {
-        RAQLET_ASSIGN_OR_RETURN(
-            Value v, EvalCTerm(atom.args[static_cast<size_t>(col)], *env));
-        key.push_back(v);
-      }
-
-      auto try_tuple = [&](const Tuple& t) -> Status {
-        if (is_delta_atom && delta_filter_ != nullptr &&
-            delta_filter_->count(t) == 0) {
-          return Status::OK();
-        }
-        bool matched;
-        RAQLET_ASSIGN_OR_RETURN(matched, Unify(atom, t, env, &newly_bound));
-        Status s = Status::OK();
-        if (matched) s = Exec(step_index + 1, env);
-        for (size_t slot : newly_bound) env->bound[slot] = false;
-        return s;
-      };
-
-      auto scan_relation = [&](const Relation& rel,
-                               bool filter_added) -> Status {
-        if (step.probe_cols.empty()) {
-          for (size_t r = 0; r < rel.size(); ++r) {
-            if (Done()) return Status::OK();
-            Tuple t = MatRow(rel, r);
-            if (filter_added && st != nullptr && st->added_set.count(t) > 0) {
-              continue;
-            }
-            RAQLET_RETURN_IF_ERROR(try_tuple(t));
-          }
-          return Status::OK();
-        }
-        const Relation::KeyIndex* idx = rel.EnsureIndex(step.probe_cols);
-        auto it = idx->find(key);
-        if (it == idx->end()) return Status::OK();
-        for (uint32_t row : it->second) {
-          if (Done()) return Status::OK();
-          Tuple t = MatRow(rel, row);
-          if (filter_added && st != nullptr && st->added_set.count(t) > 0) {
-            continue;
-          }
-          RAQLET_RETURN_IF_ERROR(try_tuple(t));
-        }
-        return Status::OK();
-      };
-
-      RAQLET_RETURN_IF_ERROR(scan_relation(live, old_state));
-      if (old_state && st != nullptr && st->minus != nullptr &&
-          !st->minus->empty()) {
-        RAQLET_RETURN_IF_ERROR(scan_relation(*st->minus, false));
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unhandled incremental plan step");
-}
-
-// Minimum delta rows per parallel chunk (mirrors the engine's constant).
-constexpr size_t kMinRowsPerChunk = 64;
 
 }  // namespace
 
@@ -826,9 +204,18 @@ struct IncrementalView::Impl {
     std::set<std::string> pred_set;
     bool recursive = false;
     Policy policy = Policy::kCounting;
-    std::vector<CRule> rules;
+    std::vector<CompiledRule> rules;
     std::vector<const Rule*> dlir_rules;  // into program.rules, same order
     std::set<std::string> body_preds;
+  };
+
+  // One ApplyDelta in flight: the kernel on the engine's context, the
+  // caller's guard, the states sealed so far and this delta's counters.
+  struct Pass {
+    RuleKernel kernel;
+    const runtime::QueryGuard* guard;
+    PredStates states;
+    IncrementalStats local;
   };
 
   IncrementalOptions options;
@@ -844,13 +231,9 @@ struct IncrementalView::Impl {
   // counting-policy SCCs.
   std::unordered_map<std::string, std::unordered_map<Tuple, int64_t, TupleHash>>
       support;
-  std::unique_ptr<DatalogEngine> full_engine;  // Initialize-time evaluation
-  std::unique_ptr<DatalogEngine> sub_engine;   // serial recompute fallback
-  std::unique_ptr<runtime::ExecutionContext> context;  // when num_threads > 1
-
-  runtime::ThreadPool* pool() const {
-    return context != nullptr ? context->pool() : nullptr;
-  }
+  // Evaluates from scratch (Initialize, recompute) and lends its execution
+  // context to every maintenance pass.
+  std::unique_ptr<DatalogEngine> engine;
 
   Status Initialize(const dlir::Program& prog, Database* database,
                     EvalStats* eval_stats, const runtime::QueryGuard* guard);
@@ -859,38 +242,28 @@ struct IncrementalView::Impl {
                              const runtime::QueryGuard* guard);
 
  private:
-  Status Guard(const runtime::QueryGuard* guard, size_t rows) const {
-    if (guard == nullptr) return Status::OK();
-    RAQLET_RETURN_IF_ERROR(guard->AddRows(rows));
-    return guard->Check();
+  Status Guard(const Pass& pass, size_t rows) const {
+    if (pass.guard == nullptr) return Status::OK();
+    RAQLET_RETURN_IF_ERROR(pass.guard->AddRows(rows));
+    return pass.guard->Check();
   }
 
-  // Evaluates one variant, appending derived heads to `out` in
-  // deterministic order. Fans the delta range out across the pool when
-  // `parallel` and the plan is delta-first; chunk results are concatenated
-  // in chunk order, so the emitted sequence is bit-identical to serial.
-  Status EvalVariant(const CRule& rule, int delta_atom, bool delta_keys,
-                     const std::vector<Tuple>& delta,
-                     const PredStates& states,
-                     const std::vector<uint8_t>& use_old, bool parallel,
-                     std::vector<Tuple>* out);
+  // Plans `v` (in check mode with `bind_head`) and points every step at
+  // its rows: the delta atom at `v.delta`, any other atom at its live
+  // relation — with the net-added rows masked out and the erased rows
+  // added as a second source when it reads OLD.
+  Result<VariantPlan> Plan(const Variant& v, const PredStates& states,
+                           bool bind_head = false) const;
 
-  // For a changed negated atom: the distinct projection keys (onto the
-  // atom's non-wildcard positions) whose ¬∃ truth value flipped, split by
-  // direction. `plus` keys flipped false→true (¬ now holds), `minus` keys
-  // true→false.
-  void NegKeyDeltas(const CAtom& atom, const PredState& st,
-                    const PredStates& states, std::vector<Tuple>* plus,
-                    std::vector<Tuple>* minus) const;
+  // Plans and evaluates `variants`; `out` receives their raw derivations,
+  // one emit buffer per task in serial order, so every thread count
+  // derives the same sequence.
+  Status Derive(const std::vector<Variant>& variants, Pass* pass,
+                std::vector<EmitBuffer>* out) const;
 
-  Status ApplyCounting(SccPlan* scc, PredStates* states,
-                       IncrementalStats* local,
-                       const runtime::QueryGuard* guard);
-  Status ApplyDred(SccPlan* scc, PredStates* states, IncrementalStats* local,
-                   const runtime::QueryGuard* guard, bool* bailed);
-  Status ApplyRecompute(SccPlan* scc, PredStates* states,
-                        IncrementalStats* local,
-                        const runtime::QueryGuard* guard);
+  Status ApplyCounting(SccPlan* scc, Pass* pass);
+  Status ApplyDred(SccPlan* scc, Pass* pass, bool* bailed);
+  Status ApplyRecompute(SccPlan* scc, Pass* pass);
 };
 
 Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
@@ -908,29 +281,17 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
   program = prog;
   RAQLET_RETURN_IF_ERROR(program.Validate());
 
-  if (full_engine == nullptr) {
+  if (engine == nullptr) {
     EvalOptions eval_options;
     eval_options.max_iterations = options.max_iterations;
     eval_options.reorder_atoms = options.reorder_atoms;
     eval_options.overwrite_idb = true;
     eval_options.num_threads = options.num_threads;
-    full_engine = std::make_unique<DatalogEngine>(eval_options);
-  }
-  if (sub_engine == nullptr) {
-    EvalOptions sub_options;
-    sub_options.max_iterations = options.max_iterations;
-    sub_options.reorder_atoms = options.reorder_atoms;
-    sub_options.overwrite_idb = true;
-    sub_options.num_threads = 1;
-    sub_engine = std::make_unique<DatalogEngine>(sub_options);
-  }
-  if (options.num_threads > 1 && context == nullptr) {
-    context = std::make_unique<runtime::ExecutionContext>(options.num_threads);
+    engine = std::make_unique<DatalogEngine>(eval_options);
   }
 
   // From-scratch evaluation (also validates stratification).
-  RAQLET_RETURN_IF_ERROR(
-      full_engine->Run(program, db, eval_stats, nullptr, guard));
+  RAQLET_RETURN_IF_ERROR(engine->Run(program, db, eval_stats, nullptr, guard));
 
   for (const dlir::RelationDecl& decl : program.decls) {
     RAQLET_ASSIGN_OR_RETURN(Relation * rel, db->GetRelation(decl.name));
@@ -967,8 +328,9 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
         }
       }
       RAQLET_ASSIGN_OR_RETURN(
-          CRule compiled,
-          CompileRule(rule, scc.pred_set, relations, &db->symbols()));
+          CompiledRule compiled,
+          datalog::CompileRule(rule, scc.pred_set, relations,
+                               LatticeKind::kNone, &db->symbols()));
       scc.rules.push_back(std::move(compiled));
       scc.dlir_rules.push_back(&rule);
     }
@@ -980,17 +342,20 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
 
   // Support counts: one full-join enumeration per counting rule, counting
   // every distinct derivation of each head tuple.
-  PredStates no_states;
+  Pass pass{RuleKernel(engine->context(), guard, &db->symbols()), guard, {},
+            {}};
   for (SccPlan& scc : sccs) {
     if (scc.policy != Policy::kCounting || scc.rules.empty()) continue;
     auto& counts = support[scc.preds[0]];
-    for (const CRule& rule : scc.rules) {
-      std::vector<uint8_t> all_new(rule.atoms.size(), 0);
-      std::vector<Tuple> heads;
-      RAQLET_RETURN_IF_ERROR(EvalVariant(rule, -1, false, {}, no_states,
-                                         all_new, false, &heads));
-      for (Tuple& h : heads) counts[std::move(h)] += 1;
-    }
+    std::vector<Variant> variants;
+    for (const CompiledRule& rule : scc.rules) variants.push_back({&rule, -1, {}, kAllNew});
+    std::vector<EmitBuffer> heads;
+    RAQLET_RETURN_IF_ERROR(Derive(variants, &pass, &heads));
+    RAQLET_RETURN_IF_ERROR(
+        ForEachHead(&pass.kernel, &heads, [&](Relation*, Tuple t) {
+          counts[std::move(t)] += 1;
+          return Status::OK();
+        }));
     if (guard != nullptr) RAQLET_RETURN_IF_ERROR(guard->Check());
   }
 
@@ -998,156 +363,97 @@ Status IncrementalView::Impl::Initialize(const dlir::Program& prog,
   return Status::OK();
 }
 
-Status IncrementalView::Impl::EvalVariant(
-    const CRule& rule, int delta_atom, bool delta_keys,
-    const std::vector<Tuple>& delta, const PredStates& states,
-    const std::vector<uint8_t>& use_old, bool parallel,
-    std::vector<Tuple>* out) {
-  const bool direct =
-      delta_atom < 0 || delta_keys ||
-      CanSourceDirectly(rule.atoms[static_cast<size_t>(delta_atom)]);
-  std::unordered_set<Tuple, TupleHash> filter;
-  const std::unordered_set<Tuple, TupleHash>* filter_ptr = nullptr;
-  if (delta_atom >= 0 && !direct) {
-    filter.insert(delta.begin(), delta.end());
-    filter_ptr = &filter;
-  }
+Result<VariantPlan> IncrementalView::Impl::Plan(const Variant& v,
+                                                const PredStates& states,
+                                                bool bind_head) const {
   RAQLET_ASSIGN_OR_RETURN(
-      Plan plan,
-      PlanRule(rule, delta_atom, delta_keys, options.reorder_atoms, nullptr));
-
-  runtime::ThreadPool* p = pool();
-  if (parallel && p != nullptr && plan.delta_first &&
-      delta.size() >= 2 * kMinRowsPerChunk) {
-    // Pre-resolve every index the plan probes while single-threaded is
-    // unnecessary (EnsureIndex is thread-safe), but pre-touching them here
-    // avoids building the same index concurrently on first probe.
-    for (const Step& step : plan.steps) {
-      if (step.atom < 0 || step.probe_cols.empty()) continue;
-      const CAtom& atom = rule.atoms[static_cast<size_t>(step.atom)];
-      atom.relation->EnsureIndex(step.probe_cols);
-      const PredState* st = StateOf(states, atom.predicate);
-      if (st != nullptr && st->minus != nullptr && !st->minus->empty()) {
-        st->minus->EnsureIndex(step.probe_cols);
-      }
+      VariantPlan plan, datalog::PlanVariant(*v.rule, v.delta_atom,
+                                             options.reorder_atoms, bind_head));
+  for (PlanStep& step : plan.steps) {
+    if (step.atom_index < 0) continue;
+    if (step.atom_index == v.delta_atom) {
+      step.sources.push_back(datalog::ResolveSource(
+          *v.delta.rel, step, v.delta.begin, v.delta.end, v.delta.col_of));
+      continue;
     }
-    const size_t n = delta.size();
-    const size_t max_chunks =
-        static_cast<size_t>(std::max(1, options.num_threads)) * 4;
-    const size_t chunk =
-        std::max(kMinRowsPerChunk, (n + max_chunks - 1) / max_chunks);
-    const size_t num_chunks = (n + chunk - 1) / chunk;
-    std::vector<std::vector<Tuple>> chunk_out(num_chunks);
-    std::vector<Status> chunk_status(num_chunks, Status::OK());
-    p->ParallelFor(num_chunks, [&](size_t c) {
-      VariantEval eval(rule, plan, states, use_old, &delta, nullptr,
-                       db->symbols());
-      chunk_status[c] =
-          eval.Run(c * chunk, std::min(n, (c + 1) * chunk), &chunk_out[c]);
-    });
-    for (size_t c = 0; c < num_chunks; ++c) {
-      RAQLET_RETURN_IF_ERROR(chunk_status[c]);
-      out->insert(out->end(), std::make_move_iterator(chunk_out[c].begin()),
-                  std::make_move_iterator(chunk_out[c].end()));
-    }
-    return Status::OK();
-  }
-
-  VariantEval eval(rule, plan, states, use_old, &delta, filter_ptr,
-                   db->symbols());
-  return eval.Run(0, std::numeric_limits<size_t>::max(), out);
-}
-
-void IncrementalView::Impl::NegKeyDeltas(const CAtom& atom,
-                                         const PredState& st,
-                                         const PredStates& states,
-                                         std::vector<Tuple>* plus,
-                                         std::vector<Tuple>* minus) const {
-  std::vector<int> proj;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    if (atom.args[i].kind != CTerm::kWildcard) {
-      proj.push_back(static_cast<int>(i));
+    const size_t i = static_cast<size_t>(step.atom_index);
+    const CompiledAtom& atom = v.rule->atoms[i];
+    const Relation& live = *atom.relation;
+    step.sources.push_back(datalog::ResolveSource(live, step, 0, live.size()));
+    const PredState* st =
+        i >= v.first_old ? StateOf(states, atom.predicate) : nullptr;
+    if (st == nullptr) continue;
+    step.sources.back().skip = &st->added_rows;
+    if (!st->removed->empty()) {
+      step.sources.push_back(datalog::ResolveSource(
+          *st->removed, step, 0, st->removed->size()));
     }
   }
-  std::unordered_set<Tuple, TupleHash> seen;
-  auto consider = [&](const Tuple& t) {
-    Tuple key;
-    key.reserve(proj.size());
-    for (int p : proj) key.push_back(t[static_cast<size_t>(p)]);
-    if (!seen.insert(key).second) return;
-    const PredState* state = StateOf(states, atom.predicate);
-    bool new_ex = StateExists(*atom.relation, state, false, proj, key);
-    bool old_ex = StateExists(*atom.relation, state, true, proj, key);
-    int sign = (new_ex ? 0 : 1) - (old_ex ? 0 : 1);
-    if (sign > 0) {
-      plus->push_back(std::move(key));
-    } else if (sign < 0) {
-      minus->push_back(std::move(key));
-    }
-  };
-  for (const Tuple& t : st.added) consider(t);
-  for (const Tuple& t : st.removed) consider(t);
+  return plan;
 }
 
-Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
-                                            IncrementalStats* local,
-                                            const runtime::QueryGuard* guard) {
+Status IncrementalView::Impl::Derive(const std::vector<Variant>& variants,
+                                     Pass* pass,
+                                     std::vector<EmitBuffer>* out) const {
+  std::vector<VariantPlan> plans;
+  plans.reserve(variants.size());
+  for (const Variant& v : variants) {
+    RAQLET_ASSIGN_OR_RETURN(VariantPlan plan, Plan(v, pass->states));
+    plans.push_back(std::move(plan));
+  }
+  EvalStats considered;  // the view keeps no join counters
+  return pass->kernel.Evaluate(plans, out, &considered);
+}
+
+Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, Pass* pass) {
+  obs::TraceScope span("incremental.counting");
   const std::string& pred = scc->preds[0];
   Relation* rel = relations.at(pred);
   auto& counts = support[pred];
 
   // Signed support deltas, accumulated in first-touch order so the
-  // resulting insert/erase batches are deterministic.
+  // resulting insert/erase batches are deterministic. Each variant's
+  // derivations are counted with their multiplicity.
   std::unordered_map<Tuple, int64_t, TupleHash> dcount;
   std::vector<Tuple> touched;
-  auto sink = [&](std::vector<Tuple>& heads, int64_t sign) {
-    for (Tuple& h : heads) {
-      auto [it, fresh] = dcount.emplace(h, 0);
+  auto count = [&](const Variant& v, int64_t sign) -> Status {
+    std::vector<EmitBuffer> heads;
+    RAQLET_RETURN_IF_ERROR(Derive({v}, pass, &heads));
+    return ForEachHead(&pass->kernel, &heads, [&](Relation*, Tuple t) {
+      auto [it, fresh] = dcount.emplace(std::move(t), 0);
       if (fresh) touched.push_back(it->first);
       it->second += sign;
-    }
-    heads.clear();
+      return Status::OK();
+    });
   };
 
-  for (const CRule& rule : scc->rules) {
+  for (const CompiledRule& rule : scc->rules) {
     for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      const PredState* st = StateOf(*states, atom.predicate);
+      const CompiledAtom& atom = rule.atoms[i];
+      const PredState* st = StateOf(pass->states, atom.predicate);
       if (st == nullptr || !st->changed()) continue;
       // Telescoping state assignment: atoms before the delta position see
       // the NEW state, atoms after it the OLD state.
-      std::vector<uint8_t> use_old(rule.atoms.size(), 0);
-      for (size_t j = i + 1; j < rule.atoms.size(); ++j) use_old[j] = 1;
-      std::vector<Tuple> heads;
+      Variant v{&rule, static_cast<int>(i), {}, i + 1};
       if (!atom.negated) {
-        if (!st->removed.empty()) {
-          use_old[i] = 1;  // removed tuples live in the OLD state
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                             st->removed, *states, use_old,
-                                             false, &heads));
-          sink(heads, -1);
+        if (!st->removed->empty()) {
+          v.delta = DeltaRows::All(*st->removed);
+          RAQLET_RETURN_IF_ERROR(count(v, -1));
         }
-        if (!st->added.empty()) {
-          use_old[i] = 0;
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                             st->added, *states, use_old,
-                                             false, &heads));
-          sink(heads, +1);
+        if (!st->added->empty()) {
+          v.delta = DeltaRows::All(*st->added);
+          RAQLET_RETURN_IF_ERROR(count(v, +1));
         }
       } else {
-        std::vector<Tuple> plus_keys, minus_keys;
-        NegKeyDeltas(atom, *st, *states, &plus_keys, &minus_keys);
-        if (!plus_keys.empty()) {
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                             plus_keys, *states, use_old,
-                                             false, &heads));
-          sink(heads, +1);
+        RAQLET_ASSIGN_OR_RETURN(NegFlips flips,
+                                NegKeyDeltas(atom, *st, pass->states));
+        if (!flips.plus->empty()) {
+          v.delta = DeltaRows::All(*flips.plus, &flips.col_of);
+          RAQLET_RETURN_IF_ERROR(count(v, +1));
         }
-        if (!minus_keys.empty()) {
-          RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                             minus_keys, *states, use_old,
-                                             false, &heads));
-          sink(heads, -1);
+        if (!flips.minus->empty()) {
+          v.delta = DeltaRows::All(*flips.minus, &flips.col_of);
+          RAQLET_RETURN_IF_ERROR(count(v, -1));
         }
       }
     }
@@ -1166,7 +472,7 @@ Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
           "support count underflow for '" + pred +
           "' — counting maintenance invariant violated");
     }
-    ++local->support_updates;
+    ++pass->local.support_updates;
     if (new_support == 0) {
       counts.erase(h);
     } else {
@@ -1175,10 +481,9 @@ Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
     if (old_support == 0 && new_support > 0) to_add.push_back(h);
     if (old_support > 0 && new_support == 0) to_remove.push_back(h);
   }
-  local->rounds += 1;
-  RAQLET_RETURN_IF_ERROR(Guard(guard, to_add.size() + to_remove.size()));
+  pass->local.rounds += 1;
+  RAQLET_RETURN_IF_ERROR(Guard(*pass, to_add.size() + to_remove.size()));
 
-  PredState out_state;
   if (!to_remove.empty()) {
     size_t erased;
     RAQLET_ASSIGN_OR_RETURN(erased, rel->EraseBatch(to_remove));
@@ -1188,43 +493,42 @@ Status IncrementalView::Impl::ApplyCounting(SccPlan* scc, PredStates* states,
                               std::to_string(to_remove.size()) +
                               " support-dead tuples in '" + pred + "'");
     }
-    out_state.removed = std::move(to_remove);
   }
+  std::vector<Tuple> added;
   for (Tuple& t : to_add) {
     bool fresh;
     RAQLET_ASSIGN_OR_RETURN(fresh, rel->Insert(t));
-    if (fresh) out_state.added.push_back(std::move(t));
+    if (fresh) added.push_back(std::move(t));
   }
-  local->tuples_inserted += out_state.added.size();
-  local->tuples_deleted += out_state.removed.size();
-  if (out_state.changed()) {
-    RAQLET_RETURN_IF_ERROR(SealState(*rel, &out_state));
-    (*states)[pred] = std::move(out_state);
+  pass->local.tuples_inserted += added.size();
+  pass->local.tuples_deleted += to_remove.size();
+  if (!added.empty() || !to_remove.empty()) {
+    RAQLET_ASSIGN_OR_RETURN(
+        pass->states[pred],
+        Seal(*rel, std::move(added), std::move(to_remove)));
   }
   return Status::OK();
 }
 
-Status IncrementalView::Impl::ApplyDred(SccPlan* scc, PredStates* states,
-                                        IncrementalStats* local,
-                                        const runtime::QueryGuard* guard,
+Status IncrementalView::Impl::ApplyDred(SccPlan* scc, Pass* pass,
                                         bool* bailed) {
   *bailed = false;
-  // Per-pred overdeletion state, in discovery order.
-  std::unordered_map<std::string, std::vector<Tuple>> over;
-  std::unordered_map<std::string, std::unordered_set<Tuple, TupleHash>>
-      over_set;
+  const PredStates& states = pass->states;
+  // Overdeleted tuples per SCC relation, in discovery order. A round's
+  // frontier is what the round before it admitted: a row suffix.
+  std::unordered_map<const Relation*, std::unique_ptr<Relation>> over;
   for (const std::string& p : scc->preds) {
-    over[p];
-    over_set[p];
+    const Relation* live = relations.at(p);
+    over[live] = std::make_unique<Relation>(live->schema());
   }
 
   // Bail-out budget: when a deletion cascades through more than this many
   // of the SCC's pre-delta rows, DRed degenerates — it would erase and
-  // tuple-at-a-time rederive most of the view, which is strictly slower
-  // than handing the SCC to the batch engine. Phase A mutates nothing, so
-  // aborting here and falling back to recompute-and-diff is clean. The
-  // threshold is a pure function of deterministic sizes, so the chosen
-  // path is identical across thread counts.
+  // rederive most of the view, which loses to handing the SCC to the
+  // batch engine. Overdeletion mutates nothing, so aborting there and
+  // falling back to recompute-and-diff is clean. The threshold is a pure
+  // function of deterministic sizes (and the cascade is a set), so the
+  // chosen path is identical across thread counts.
   size_t scc_rows = 0;
   for (const std::string& p : scc->preds) scc_rows += relations.at(p)->size();
   const double threshold = options.dred_recompute_threshold;
@@ -1236,307 +540,272 @@ Status IncrementalView::Impl::ApplyDred(SccPlan* scc, PredStates* states,
           : std::numeric_limits<size_t>::max();
   size_t total_over = 0;
 
-  // Admit emitted deletion candidates: present in the (still pre-delta)
-  // SCC relation and not already overdeleted.
-  auto admit = [&](const std::string& head, std::vector<Tuple>& heads,
-                   std::unordered_map<std::string, std::vector<Tuple>>* round) {
-    Relation* rel = relations.at(head);
-    auto& os = over_set[head];
-    auto& ov = over[head];
-    for (Tuple& h : heads) {
-      if (!rel->Contains(h)) continue;
-      if (!os.insert(h).second) continue;
-      ++total_over;
-      ov.push_back(h);
-      (*round)[head].push_back(std::move(h));
-    }
-    heads.clear();
-  };
-
   // Pre-compute the negated-atom key flips once per (rule, atom): both the
   // deletion seeds (minus keys) and the insertion seeds (plus keys) need
   // them, and they must be evaluated before any SCC mutation.
-  struct NegFlips {
-    std::vector<Tuple> plus;
-    std::vector<Tuple> minus;
-  };
   std::map<std::pair<size_t, size_t>, NegFlips> neg_flips;
   for (size_t r = 0; r < scc->rules.size(); ++r) {
-    const CRule& rule = scc->rules[r];
+    const CompiledRule& rule = scc->rules[r];
     for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      if (!atom.negated || atom.in_scc) continue;
-      const PredState* st = StateOf(*states, atom.predicate);
+      const CompiledAtom& atom = rule.atoms[i];
+      if (!atom.negated || atom.recursive) continue;
+      const PredState* st = StateOf(states, atom.predicate);
       if (st == nullptr || !st->changed()) continue;
-      NegFlips flips;
-      NegKeyDeltas(atom, *st, *states, &flips.plus, &flips.minus);
-      if (!flips.plus.empty() || !flips.minus.empty()) {
-        neg_flips[{r, i}] = std::move(flips);
-      }
+      NegFlips& flips = neg_flips[{r, i}];
+      RAQLET_ASSIGN_OR_RETURN(flips, NegKeyDeltas(atom, *st, states));
     }
   }
+  // Seed variants from lower strata: positive atoms read `side` of their
+  // state (removed or added), negated atoms the matching key flips, and
+  // every other atom OLD (`first_old` 0) or NEW.
+  auto seeds = [&](bool deleting) {
+    std::vector<Variant> out;
+    for (size_t r = 0; r < scc->rules.size(); ++r) {
+      const CompiledRule& rule = scc->rules[r];
+      for (size_t i = 0; i < rule.atoms.size(); ++i) {
+        const CompiledAtom& atom = rule.atoms[i];
+        if (atom.recursive) continue;  // in-SCC deltas come from rounds
+        const PredState* st = StateOf(states, atom.predicate);
+        if (st == nullptr || !st->changed()) continue;
+        Variant v{&rule, static_cast<int>(i), {}, deleting ? 0 : kAllNew};
+        if (!atom.negated) {
+          const Relation& side = deleting ? *st->removed : *st->added;
+          if (side.empty()) continue;
+          v.delta = DeltaRows::All(side);
+        } else {
+          const NegFlips& flips = neg_flips.at({r, i});
+          const Relation& keys = deleting ? *flips.minus : *flips.plus;
+          if (keys.empty()) continue;
+          v.delta = DeltaRows::All(keys, &flips.col_of);
+        }
+        out.push_back(v);
+      }
+    }
+    return out;
+  };
 
   // ---- Phase A: overdeletion fixpoint (all body atoms in OLD state). ----
-  std::unordered_map<std::string, std::vector<Tuple>> cur;
-  for (size_t r = 0; r < scc->rules.size(); ++r) {
-    const CRule& rule = scc->rules[r];
-    std::vector<uint8_t> all_old(rule.atoms.size(), 1);
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      if (atom.in_scc) continue;  // in-SCC deltas come from propagation
-      const PredState* st = StateOf(*states, atom.predicate);
-      if (st == nullptr || !st->changed()) continue;
-      std::vector<Tuple> heads;
-      if (!atom.negated) {
-        if (st->removed.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           st->removed, *states, all_old,
-                                           false, &heads));
-      } else {
-        auto it = neg_flips.find({r, i});
-        if (it == neg_flips.end() || it->second.minus.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                           it->second.minus, *states, all_old,
-                                           false, &heads));
-      }
-      admit(rule.head_predicate, heads, &cur);
-    }
-  }
-  size_t deletion_rounds = 0;
-  while (true) {
-    if (total_over > bail_at) {
+  {
+    obs::TraceScope span("incremental.dred.overdelete");
+    // Admits derived deletion candidates: present in the (still
+    // pre-delta) SCC relation and not already overdeleted.
+    auto admit = [&](std::vector<EmitBuffer>* heads) {
+      return ForEachHead(&pass->kernel, heads,
+                         [&](Relation* head, Tuple t) -> Status {
+        if (!head->Contains(t)) return Status::OK();
+        RAQLET_ASSIGN_OR_RETURN(bool fresh, over.at(head)->Insert(std::move(t)));
+        if (fresh) ++total_over;
+        return Status::OK();
+      });
+    };
+    auto bail = [&]() {
+      if (*bailed) return true;
+      if (total_over <= bail_at) return false;
       *bailed = true;
-      local->dred_bailouts += 1;
-      return Status::OK();
-    }
-    size_t frontier = 0;
-    for (const std::string& p : scc->preds) frontier += cur[p].size();
-    if (frontier == 0) break;
-    local->rounds += 1;
-    RAQLET_RETURN_IF_ERROR(Guard(guard, frontier));
-    if (options.max_iterations > 0 &&
-        ++deletion_rounds > options.max_iterations) {
-      return Status::ResourceExhausted(
-          "incremental overdeletion exceeded max_iterations");
-    }
-    std::unordered_map<std::string, std::vector<Tuple>> next;
-    for (const CRule& rule : scc->rules) {
-      std::vector<uint8_t> all_old(rule.atoms.size(), 1);
-      for (size_t i = 0; i < rule.atoms.size(); ++i) {
-        const CAtom& atom = rule.atoms[i];
-        if (!atom.in_scc || atom.negated) continue;
-        auto dit = cur.find(atom.predicate);
-        if (dit == cur.end() || dit->second.empty()) continue;
-        std::vector<Tuple> heads;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           dit->second, *states, all_old,
-                                           false, &heads));
-        admit(rule.head_predicate, heads, &next);
-        // A single round can blow far past the budget (the cascade can
-        // multiply per rule), so check between rules, not just between
-        // rounds.
-        if (total_over > bail_at) {
-          *bailed = true;
-          local->dred_bailouts += 1;
-          return Status::OK();
-        }
+      pass->local.dred_bailouts += 1;
+      return true;
+    };
+    span.Arg("bail_at", threshold > 0.0 ? static_cast<int64_t>(bail_at) : -1);
+    std::vector<EmitBuffer> heads;
+    RAQLET_RETURN_IF_ERROR(Derive(seeds(/*deleting=*/true), pass, &heads));
+    RAQLET_RETURN_IF_ERROR(admit(&heads));
+    std::unordered_map<const Relation*, size_t> frontier_begin;
+    size_t deletion_rounds = 0;
+    while (!bail()) {
+      size_t frontier = 0;
+      for (const auto& [live, o] : over) frontier += o->size() - frontier_begin[live];
+      if (frontier == 0) break;
+      pass->local.rounds += 1;
+      RAQLET_RETURN_IF_ERROR(Guard(*pass, frontier));
+      if (options.max_iterations > 0 &&
+          ++deletion_rounds > options.max_iterations) {
+        return Status::ResourceExhausted(
+            "incremental overdeletion exceeded max_iterations");
       }
+      std::unordered_map<const Relation*, size_t> frontier_end;
+      for (const auto& [live, o] : over) frontier_end[live] = o->size();
+      for (const CompiledRule& rule : scc->rules) {
+        for (size_t i = 0; i < rule.atoms.size(); ++i) {
+          const CompiledAtom& atom = rule.atoms[i];
+          if (!atom.recursive || atom.negated) continue;
+          const size_t begin = frontier_begin[atom.relation];
+          const size_t end = frontier_end[atom.relation];
+          if (begin == end) continue;
+          Variant v{&rule, static_cast<int>(i),
+                    {over.at(atom.relation).get(), begin, end, nullptr}, 0};
+          RAQLET_RETURN_IF_ERROR(Derive({v}, pass, &heads));
+          RAQLET_RETURN_IF_ERROR(admit(&heads));
+          // A single round can blow far past the budget (the cascade can
+          // multiply per rule), so check between rules, not just between
+          // rounds.
+          if (bail()) break;
+        }
+        if (*bailed) break;
+      }
+      frontier_begin = std::move(frontier_end);
     }
-    cur = std::move(next);
+    span.Arg("overdeleted", static_cast<int64_t>(total_over));
+    span.Arg("bailed", *bailed ? 1 : 0);
+    if (*bailed) return Status::OK();
   }
 
   // ---- Phase B: erase the overdeleted tuples. ----
-  for (const std::string& p : scc->preds) {
-    if (over[p].empty()) continue;
-    size_t erased;
-    RAQLET_ASSIGN_OR_RETURN(erased, relations.at(p)->EraseBatch(over[p]));
-    if (erased != over[p].size()) {
-      return Status::Internal("DRed erase removed " + std::to_string(erased) +
-                              " of " + std::to_string(over[p].size()) +
-                              " overdeleted tuples in '" + p + "'");
+  std::unordered_map<const Relation*, size_t> post_erase;
+  {
+    obs::TraceScope span("incremental.dred.erase");
+    for (const std::string& p : scc->preds) {
+      Relation* live = relations.at(p);
+      const Relation& o = *over.at(live);
+      if (!o.empty()) {
+        size_t erased;
+        RAQLET_ASSIGN_OR_RETURN(erased, live->EraseBatch(o.MaterializeRows()));
+        if (erased != o.size()) {
+          return Status::Internal("DRed erase removed " +
+                                  std::to_string(erased) + " of " +
+                                  std::to_string(o.size()) +
+                                  " overdeleted tuples in '" + p + "'");
+        }
+        pass->local.overdeleted += o.size();
+      }
+      post_erase[live] = live->size();
     }
-    local->overdeleted += over[p].size();
   }
 
   // ---- Phase C: rederive what is still derivable from the remainder.
   // One pass suffices: rederived tuples re-enter as insertion deltas, so
-  // transitive rederivations happen in the continuation below. ----
-  // Check-mode plans are hoisted out of the per-tuple loop and planned
-  // with the head variables marked bound (Check pre-binds those env slots
-  // from the target), so probes run against the target's keys instead of
-  // rescanning the first atom per tuple.
-  struct CheckRule {
-    const CRule* rule;
-    Plan plan;
-    std::vector<uint8_t> all_new;
-  };
-  std::unordered_map<std::string, std::vector<CheckRule>> check_rules;
-  for (const CRule& rule : scc->rules) {
-    std::vector<bool> head_bound(rule.num_vars, false);
-    for (const CTerm& arg : rule.head_args) {
-      if (arg.kind == CTerm::kVar) {
-        head_bound[static_cast<size_t>(arg.var)] = true;
-      }
+  // transitive rederivations happen in the continuation below. Every check
+  // runs against the pure post-erase state before any rederived tuple is
+  // inserted back: interleaving inserts would both blur the semantics and
+  // invalidate the plans' borrowed columns and indexes between probes.
+  // Check plans are planned once per rule with the head variables bound
+  // (the check pre-binds them from the target), so probes run against
+  // the target's keys instead of rescanning the first atom per tuple; a
+  // rule whose head lost nothing is not planned, so its plan's indexes
+  // are not built. ----
+  if (total_over > 0) {
+    obs::TraceScope span("incremental.dred.rederive");
+    std::unordered_map<const Relation*, std::vector<VariantPlan>> checks;
+    for (const CompiledRule& rule : scc->rules) {
+      if (over.at(rule.head_relation)->empty()) continue;
+      RAQLET_ASSIGN_OR_RETURN(
+          VariantPlan plan,
+          Plan({&rule, -1, {}, kAllNew}, states, /*bind_head=*/true));
+      checks[rule.head_relation].push_back(std::move(plan));
     }
-    RAQLET_ASSIGN_OR_RETURN(
-        Plan plan,
-        PlanRule(rule, -1, false, options.reorder_atoms, &head_bound));
-    check_rules[rule.head_predicate].push_back(
-        {&rule, std::move(plan),
-         std::vector<uint8_t>(rule.atoms.size(), 0)});
-  }
-  // Every check runs against the pure post-erase state before any
-  // rederived tuple is inserted back: interleaving inserts would both
-  // blur the semantics and invalidate the relations' cached indexes
-  // between probes (an O(n²) rebuild churn). Tuples that are only
-  // derivable *through* another rederivation re-enter via the insertion
-  // continuation below instead.
-  std::unordered_map<std::string, std::vector<Tuple>> inserted;
-  std::unordered_map<std::string, std::vector<Tuple>> rederive;
-  for (const std::string& p : scc->preds) {
-    for (const Tuple& t : over[p]) {
-      bool derivable = false;
-      for (const CheckRule& cr : check_rules[p]) {
-        VariantEval eval(*cr.rule, cr.plan, *states, cr.all_new, nullptr,
-                         nullptr, db->symbols());
-        RAQLET_ASSIGN_OR_RETURN(derivable, eval.Check(t));
-        if (derivable) break;
+    std::vector<std::pair<Relation*, std::vector<Tuple>>> rederived;
+    for (const std::string& p : scc->preds) {
+      Relation* live = relations.at(p);
+      std::vector<Tuple> derivable;
+      for (Tuple& t : over.at(live)->MaterializeRows()) {
+        for (const VariantPlan& plan : checks[live]) {
+          RAQLET_ASSIGN_OR_RETURN(bool derives,
+                                  datalog::Derives(plan, t, db->symbols()));
+          if (derives) {
+            derivable.push_back(std::move(t));
+            break;
+          }
+        }
       }
-      if (derivable) rederive[p].push_back(t);
+      rederived.emplace_back(live, std::move(derivable));
     }
-  }
-  for (const std::string& p : scc->preds) {
-    Relation* rel = relations.at(p);
-    for (Tuple& t : rederive[p]) {
-      bool fresh;
-      RAQLET_ASSIGN_OR_RETURN(fresh, rel->Insert(t));
-      if (fresh) cur[p].push_back(std::move(t));
+    for (auto& [live, tuples] : rederived) {
+      RAQLET_RETURN_IF_ERROR(live->InsertBatch(std::move(tuples)).status());
     }
   }
 
   // ---- Phase D: semi-naive insertion continuation. Seeds: incoming adds
-  // and ¬-became-true key flips from lower strata, plus the phase-C
-  // rederivations already sitting in `cur`. This is the entire algorithm
-  // for insert-only deltas. ----
-  auto insert_heads = [&](const std::string& head, std::vector<Tuple>& heads,
-                          std::unordered_map<std::string, std::vector<Tuple>>*
-                              round) -> Status {
-    Relation* rel = relations.at(head);
-    for (Tuple& h : heads) {
-      bool fresh;
-      RAQLET_ASSIGN_OR_RETURN(fresh, rel->Insert(h));
-      if (!fresh) continue;
-      inserted[head].push_back(h);
-      (*round)[head].push_back(std::move(h));
-    }
-    heads.clear();
-    return Status::OK();
-  };
-
-  for (size_t r = 0; r < scc->rules.size(); ++r) {
-    const CRule& rule = scc->rules[r];
-    std::vector<uint8_t> all_new(rule.atoms.size(), 0);
-    for (size_t i = 0; i < rule.atoms.size(); ++i) {
-      const CAtom& atom = rule.atoms[i];
-      if (atom.in_scc) continue;
-      const PredState* st = StateOf(*states, atom.predicate);
-      if (st == nullptr || !st->changed()) continue;
-      std::vector<Tuple> heads;
-      if (!atom.negated) {
-        if (st->added.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           st->added, *states, all_new, true,
-                                           &heads));
-      } else {
-        auto it = neg_flips.find({r, i});
-        if (it == neg_flips.end() || it->second.plus.empty()) continue;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), true,
-                                           it->second.plus, *states, all_new,
-                                           true, &heads));
+  // and ¬-became-true key flips from lower strata. Then the batch engine's
+  // rounds over each SCC relation's rows past its post-erase size — the
+  // rederivations plus whatever the seeds and earlier rounds added. This
+  // is the entire algorithm for insert-only deltas. ----
+  {
+    obs::TraceScope span("incremental.dred.continuation");
+    std::vector<EmitBuffer> heads;
+    RAQLET_RETURN_IF_ERROR(Derive(seeds(/*deleting=*/false), pass, &heads));
+    RAQLET_RETURN_IF_ERROR(pass->kernel.Merge(&heads).status());
+    std::unordered_map<const Relation*, size_t> delta_begin = post_erase;
+    size_t insertion_rounds = 0;
+    while (true) {
+      size_t frontier = 0;
+      for (const auto& [live, begin] : delta_begin) {
+        frontier += live->size() - begin;
       }
-      RAQLET_RETURN_IF_ERROR(insert_heads(rule.head_predicate, heads, &cur));
-    }
-  }
-  size_t insertion_rounds = 0;
-  while (true) {
-    size_t frontier = 0;
-    for (const std::string& p : scc->preds) frontier += cur[p].size();
-    if (frontier == 0) break;
-    local->rounds += 1;
-    RAQLET_RETURN_IF_ERROR(Guard(guard, frontier));
-    if (options.max_iterations > 0 &&
-        ++insertion_rounds > options.max_iterations) {
-      return Status::ResourceExhausted(
-          "incremental insertion exceeded max_iterations");
-    }
-    std::unordered_map<std::string, std::vector<Tuple>> next;
-    for (const CRule& rule : scc->rules) {
-      std::vector<uint8_t> all_new(rule.atoms.size(), 0);
-      for (size_t i = 0; i < rule.atoms.size(); ++i) {
-        const CAtom& atom = rule.atoms[i];
-        if (!atom.in_scc || atom.negated) continue;
-        auto dit = cur.find(atom.predicate);
-        if (dit == cur.end() || dit->second.empty()) continue;
-        std::vector<Tuple> heads;
-        RAQLET_RETURN_IF_ERROR(EvalVariant(rule, static_cast<int>(i), false,
-                                           dit->second, *states, all_new,
-                                           true, &heads));
-        RAQLET_RETURN_IF_ERROR(
-            insert_heads(rule.head_predicate, heads, &next));
+      if (frontier == 0) break;
+      pass->local.rounds += 1;
+      RAQLET_RETURN_IF_ERROR(Guard(*pass, frontier));
+      if (options.max_iterations > 0 &&
+          ++insertion_rounds > options.max_iterations) {
+        return Status::ResourceExhausted(
+            "incremental insertion exceeded max_iterations");
       }
+      std::vector<Variant> variants;
+      for (const CompiledRule& rule : scc->rules) {
+        for (int i : rule.recursive_atoms) {
+          const Relation* live = rule.atoms[static_cast<size_t>(i)].relation;
+          const size_t begin = delta_begin.at(live);
+          if (begin == live->size()) continue;
+          variants.push_back(
+              {&rule, i, {live, begin, live->size(), nullptr}, kAllNew});
+        }
+      }
+      for (auto& [live, begin] : delta_begin) begin = live->size();
+      RAQLET_RETURN_IF_ERROR(Derive(variants, pass, &heads));
+      RAQLET_RETURN_IF_ERROR(pass->kernel.Merge(&heads).status());
     }
-    cur = std::move(next);
   }
 
   // ---- Finalize the per-pred net deltas. A tuple that was overdeleted
   // and later re-inserted (rederived directly or via the continuation) is
   // a net no-op; a fresh insertion that was never overdeleted is net-new.
   for (const std::string& p : scc->preds) {
-    Relation* rel = relations.at(p);
-    PredState out_state;
-    const auto& os = over_set[p];
-    for (const Tuple& t : over[p]) {
-      if (!rel->Contains(t)) out_state.removed.push_back(t);
+    Relation* live = relations.at(p);
+    const Relation& o = *over.at(live);
+    std::vector<Tuple> removed;
+    for (Tuple& t : o.MaterializeRows()) {
+      if (!live->Contains(t)) removed.push_back(std::move(t));
     }
-    local->rederived += over[p].size() - out_state.removed.size();
-    for (const Tuple& t : inserted[p]) {
-      if (os.count(t) == 0) out_state.added.push_back(t);
+    pass->local.rederived += o.size() - removed.size();
+    std::vector<Tuple> added;
+    for (Tuple& t : live->MaterializeRows(post_erase.at(live))) {
+      if (!o.Contains(t)) added.push_back(std::move(t));
     }
-    local->tuples_inserted += out_state.added.size();
-    local->tuples_deleted += out_state.removed.size();
-    if (out_state.changed()) {
-      RAQLET_RETURN_IF_ERROR(SealState(*rel, &out_state));
-      (*states)[p] = std::move(out_state);
+    pass->local.tuples_inserted += added.size();
+    pass->local.tuples_deleted += removed.size();
+    if (!added.empty() || !removed.empty()) {
+      RAQLET_ASSIGN_OR_RETURN(
+          pass->states[p], Seal(*live, std::move(added), std::move(removed)));
     }
   }
   return Status::OK();
 }
 
-Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, PredStates* states,
-                                             IncrementalStats* local,
-                                             const runtime::QueryGuard* guard) {
-  // Snapshot the previous rows of every head predicate.
+Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, Pass* pass) {
   std::unordered_map<std::string, std::vector<Tuple>> old_rows;
-  for (const std::string& p : scc->preds) {
-    old_rows[p] = relations.at(p)->MaterializeRows();
+  {
+    obs::TraceScope span("incremental.recompute");
+    // Snapshot the previous rows of every head predicate.
+    for (const std::string& p : scc->preds) {
+      old_rows[p] = relations.at(p)->MaterializeRows();
+    }
+
+    // Build the sub-program: this SCC's rules, with every lower-stratum
+    // dependency redeclared as an input so the engine reads it as-is.
+    dlir::Program sub;
+    for (const dlir::RelationDecl& decl : program.decls) {
+      const bool is_head = scc->pred_set.count(decl.name) > 0;
+      if (!is_head && scc->body_preds.count(decl.name) == 0) continue;
+      dlir::RelationDecl copy = decl;
+      if (!is_head) copy.is_input = true;
+      sub.decls.push_back(std::move(copy));
+    }
+    for (const Rule* rule : scc->dlir_rules) sub.rules.push_back(*rule);
+
+    RAQLET_RETURN_IF_ERROR(engine->Run(sub, db, nullptr, nullptr, pass->guard));
+    pass->local.rounds += 1;
+    pass->local.recomputed_sccs += 1;
   }
 
-  // Build the sub-program: this SCC's rules, with every lower-stratum
-  // dependency redeclared as an input so the engine reads it as-is.
-  dlir::Program sub;
-  for (const dlir::RelationDecl& decl : program.decls) {
-    const bool is_head = scc->pred_set.count(decl.name) > 0;
-    if (!is_head && scc->body_preds.count(decl.name) == 0) continue;
-    dlir::RelationDecl copy = decl;
-    if (!is_head) copy.is_input = true;
-    sub.decls.push_back(std::move(copy));
-  }
-  for (const Rule* rule : scc->dlir_rules) sub.rules.push_back(*rule);
-
-  RAQLET_RETURN_IF_ERROR(sub_engine->Run(sub, db, nullptr, nullptr, guard));
-  local->rounds += 1;
-  local->recomputed_sccs += 1;
-
+  obs::TraceScope span("incremental.diff");
   for (const std::string& p : scc->preds) {
     Relation* rel = relations.at(p);
     std::vector<Tuple> new_rows = rel->MaterializeRows();
@@ -1547,20 +816,20 @@ Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, PredStates* states,
     // scale than building node-based hash sets of materialized tuples.
     Relation old_snapshot(rel->schema());
     RAQLET_RETURN_IF_ERROR(old_snapshot.InsertBatch(old_rows[p]).status());
-    PredState out_state;
+    std::vector<Tuple> added;
+    std::vector<Tuple> removed;
     for (Tuple& t : new_rows) {
-      if (!old_snapshot.Contains(t)) out_state.added.push_back(std::move(t));
+      if (!old_snapshot.Contains(t)) added.push_back(std::move(t));
     }
     for (Tuple& t : old_rows[p]) {
-      if (!rel->Contains(t)) out_state.removed.push_back(std::move(t));
+      if (!rel->Contains(t)) removed.push_back(std::move(t));
     }
-    local->tuples_inserted += out_state.added.size();
-    local->tuples_deleted += out_state.removed.size();
-    RAQLET_RETURN_IF_ERROR(Guard(guard, out_state.added.size() +
-                                            out_state.removed.size()));
-    if (out_state.changed()) {
-      RAQLET_RETURN_IF_ERROR(SealState(*rel, &out_state));
-      (*states)[p] = std::move(out_state);
+    pass->local.tuples_inserted += added.size();
+    pass->local.tuples_deleted += removed.size();
+    RAQLET_RETURN_IF_ERROR(Guard(*pass, added.size() + removed.size()));
+    if (!added.empty() || !removed.empty()) {
+      RAQLET_ASSIGN_OR_RETURN(
+          pass->states[p], Seal(*rel, std::move(added), std::move(removed)));
     }
   }
   return Status::OK();
@@ -1569,47 +838,57 @@ Status IncrementalView::Impl::ApplyRecompute(SccPlan* scc, PredStates* states,
 Result<AppliedDelta> IncrementalView::Impl::Apply(
     const DeltaBatch& batch, obs::IncrementalMetrics* metrics,
     const runtime::QueryGuard* guard) {
-  // Apply the base delta and collapse it into one net PredState per
-  // changed relation (a relation may appear in several batch entries).
+  obs::TraceScope span("incremental.apply");
+  // Apply the base delta and collapse it into one net change per changed
+  // relation (a relation may appear in several batch entries).
   AppliedDelta base;
   RAQLET_ASSIGN_OR_RETURN(base, db->ApplyDelta(batch));
 
-  PredStates states;
+  struct NetChange {
+    std::vector<Tuple> added;
+    std::vector<Tuple> removed;
+  };
+  std::unordered_map<std::string, NetChange> net;
   std::vector<std::string> base_order;
   for (AppliedRelationDelta& ard : base.relations) {
-    auto [it, fresh] = states.try_emplace(ard.relation);
+    auto [it, fresh] = net.try_emplace(ard.relation);
     if (fresh) base_order.push_back(ard.relation);
-    PredState& st = it->second;
-    std::unordered_set<Tuple, TupleHash> removed_set(st.removed.begin(),
-                                                     st.removed.end());
+    NetChange& change = it->second;
+    std::unordered_set<Tuple, TupleHash> removed_set(change.removed.begin(),
+                                                     change.removed.end());
     for (Tuple& t : ard.added) {
       if (removed_set.count(t) > 0) {
         // Removed earlier in the batch, re-added now: net no-op.
         removed_set.erase(t);
-        st.removed.erase(std::find(st.removed.begin(), st.removed.end(), t));
+        change.removed.erase(
+            std::find(change.removed.begin(), change.removed.end(), t));
       } else {
-        st.added.push_back(std::move(t));
+        change.added.push_back(std::move(t));
       }
     }
-    std::unordered_set<Tuple, TupleHash> added_set(st.added.begin(),
-                                                   st.added.end());
+    std::unordered_set<Tuple, TupleHash> added_set(change.added.begin(),
+                                                   change.added.end());
     for (Tuple& t : ard.removed) {
       if (added_set.count(t) > 0) {
-        st.added.erase(std::find(st.added.begin(), st.added.end(), t));
+        change.added.erase(
+            std::find(change.added.begin(), change.added.end(), t));
       } else {
-        st.removed.push_back(std::move(t));
+        change.removed.push_back(std::move(t));
       }
     }
   }
-  IncrementalStats local;
+  Pass pass{RuleKernel(engine->context(), guard, &db->symbols()), guard, {},
+            {}};
+  IncrementalStats& local = pass.local;
   for (const std::string& pred : base_order) {
-    PredState& st = states[pred];
-    local.base_added += st.added.size();
-    local.base_removed += st.removed.size();
-    RAQLET_RETURN_IF_ERROR(SealState(*relations.at(pred), &st));
+    NetChange& change = net[pred];
+    local.base_added += change.added.size();
+    local.base_removed += change.removed.size();
+    RAQLET_ASSIGN_OR_RETURN(pass.states[pred],
+                            Seal(*relations.at(pred), std::move(change.added),
+                                 std::move(change.removed)));
   }
-  RAQLET_RETURN_IF_ERROR(
-      Guard(guard, local.base_added + local.base_removed));
+  RAQLET_RETURN_IF_ERROR(Guard(pass, local.base_added + local.base_removed));
 
   // Re-fire only the SCCs whose body predicates changed, in topological
   // order, so each SCC sees final lower-stratum states.
@@ -1617,7 +896,7 @@ Result<AppliedDelta> IncrementalView::Impl::Apply(
     if (scc.rules.empty()) continue;
     bool affected = false;
     for (const std::string& dep : scc.body_preds) {
-      const PredState* st = StateOf(states, dep);
+      const PredState* st = StateOf(pass.states, dep);
       if (st != nullptr && st->changed()) {
         affected = true;
         break;
@@ -1630,19 +909,16 @@ Result<AppliedDelta> IncrementalView::Impl::Apply(
     ++local.sccs_touched;
     switch (scc.policy) {
       case Policy::kCounting:
-        RAQLET_RETURN_IF_ERROR(ApplyCounting(&scc, &states, &local, guard));
+        RAQLET_RETURN_IF_ERROR(ApplyCounting(&scc, &pass));
         break;
       case Policy::kDred: {
         bool bailed = false;
-        RAQLET_RETURN_IF_ERROR(ApplyDred(&scc, &states, &local, guard,
-                                         &bailed));
-        if (bailed) {
-          RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &states, &local, guard));
-        }
+        RAQLET_RETURN_IF_ERROR(ApplyDred(&scc, &pass, &bailed));
+        if (bailed) RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &pass));
         break;
       }
       case Policy::kRecompute:
-        RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &states, &local, guard));
+        RAQLET_RETURN_IF_ERROR(ApplyRecompute(&scc, &pass));
         break;
     }
   }
@@ -1650,52 +926,43 @@ Result<AppliedDelta> IncrementalView::Impl::Apply(
   // Assemble the net result: base relations in first-appearance batch
   // order, then derived relations in topological order.
   AppliedDelta out;
-  auto append = [&out](const std::string& pred, PredState& st) {
+  auto append = [&out](const std::string& pred, const PredState& st) {
     if (!st.changed()) return;
     AppliedRelationDelta ard;
     ard.relation = pred;
-    ard.added = std::move(st.added);
-    ard.removed = std::move(st.removed);
+    ard.added = st.added->MaterializeRows();
+    ard.removed = st.removed->MaterializeRows();
     out.total_added += ard.added.size();
     out.total_removed += ard.removed.size();
     out.relations.push_back(std::move(ard));
   };
-  for (const std::string& pred : base_order) append(pred, states[pred]);
+  for (const std::string& pred : base_order) append(pred, pass.states[pred]);
   for (const SccPlan& scc : sccs) {
     for (const std::string& pred : scc.preds) {
       if (input_preds.count(pred) > 0) continue;
-      auto it = states.find(pred);
-      if (it != states.end()) append(pred, it->second);
+      const PredState* st = StateOf(pass.states, pred);
+      if (st != nullptr) append(pred, *st);
     }
   }
 
+  // IncrementalStats and obs::IncrementalMetrics share these counters.
+  auto accumulate = [&local](auto* into) {
+    into->base_added += local.base_added;
+    into->base_removed += local.base_removed;
+    into->sccs_touched += local.sccs_touched;
+    into->sccs_skipped += local.sccs_skipped;
+    into->rounds += local.rounds;
+    into->tuples_inserted += local.tuples_inserted;
+    into->tuples_deleted += local.tuples_deleted;
+    into->overdeleted += local.overdeleted;
+    into->rederived += local.rederived;
+    into->support_updates += local.support_updates;
+    into->recomputed_sccs += local.recomputed_sccs;
+    into->dred_bailouts += local.dred_bailouts;
+  };
   stats.deltas_applied += 1;
-  stats.base_added += local.base_added;
-  stats.base_removed += local.base_removed;
-  stats.sccs_touched += local.sccs_touched;
-  stats.sccs_skipped += local.sccs_skipped;
-  stats.rounds += local.rounds;
-  stats.tuples_inserted += local.tuples_inserted;
-  stats.tuples_deleted += local.tuples_deleted;
-  stats.overdeleted += local.overdeleted;
-  stats.rederived += local.rederived;
-  stats.support_updates += local.support_updates;
-  stats.recomputed_sccs += local.recomputed_sccs;
-  stats.dred_bailouts += local.dred_bailouts;
-  if (metrics != nullptr) {
-    metrics->base_added += local.base_added;
-    metrics->base_removed += local.base_removed;
-    metrics->sccs_touched += local.sccs_touched;
-    metrics->sccs_skipped += local.sccs_skipped;
-    metrics->rounds += local.rounds;
-    metrics->tuples_inserted += local.tuples_inserted;
-    metrics->tuples_deleted += local.tuples_deleted;
-    metrics->overdeleted += local.overdeleted;
-    metrics->rederived += local.rederived;
-    metrics->support_updates += local.support_updates;
-    metrics->recomputed_sccs += local.recomputed_sccs;
-    metrics->dred_bailouts += local.dred_bailouts;
-  }
+  accumulate(&stats);
+  if (metrics != nullptr) accumulate(metrics);
   return out;
 }
 

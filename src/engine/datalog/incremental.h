@@ -35,6 +35,12 @@
 //    are re-run from scratch on the current lower strata and the result
 //    is diffed against the previous rows.
 //
+// Every pass above is a set of ordinary rule variants over the OLD, NEW
+// and Δ states, so the view compiles, plans and runs them on the batch
+// engine's rule kernel (rule_kernel.h) and on the execution context of
+// the one DatalogEngine it owns — the engine that also evaluates from
+// scratch at Initialize and for recompute-and-diff.
+//
 // ## Determinism contract
 //
 // Maintained relations are NOT re-sorted: surviving rows keep their
@@ -70,9 +76,9 @@ struct IncrementalOptions {
   size_t max_iterations = 0;
   /// Greedy join ordering inside each rule (mirrors EvalOptions).
   bool reorder_atoms = true;
-  /// Degree of parallelism for the insertion-continuation phase. Counting
-  /// and overdeletion passes always run serially; results are identical
-  /// for every N.
+  /// Degree of parallelism of the view's engine: from-scratch evaluation,
+  /// every maintenance pass's rule variants and merges run on its pool of
+  /// N threads. Results are identical for every N.
   int num_threads = 1;
   /// DRed escape hatch: when the overdeletion cascade exceeds this
   /// fraction of the SCC's pre-delta rows, abandon DRed mid-fixpoint
@@ -80,15 +86,15 @@ struct IncrementalOptions {
   /// the batch engine instead. The decision depends only on deterministic
   /// sizes, so the chosen path is identical across thread counts.
   /// Values <= 0 disable the bail-out (pure DRed). Counted in
-  /// IncrementalStats::dred_bailouts. The default reflects that the
-  /// tuple-at-a-time DRed interpreter costs roughly an order of magnitude
-  /// more per row than the batch engine: once a cascade passes ~1/5 of
-  /// the SCC, erase-and-rederive is already losing to recompute.
+  /// IncrementalStats::dred_bailouts. The default 1/5 is not re-derived
+  /// from a measurement of the shared-kernel DRed (unverified): a cascade
+  /// erases, rechecks and re-inserts every overdeleted row, while
+  /// recompute re-derives the whole SCC once.
   double dred_recompute_threshold = 0.2;
   /// Absolute floor on the bail-out: cascades smaller than this many
-  /// tuples stay on DRed regardless of the fraction — below a few
-  /// thousand rows the interpreter beats standing up the batch
-  /// sub-engine, and small SCCs would otherwise bail on every delete.
+  /// tuples stay on DRed regardless of the fraction, so small SCCs do not
+  /// bail on every delete. The value 4096 is likewise unverified against
+  /// the shared-kernel DRed.
   size_t dred_recompute_min_over = 4096;
 };
 

@@ -108,7 +108,8 @@ TraceSession* TraceSession::Enter() {
 }
 
 void TraceSession::Leave(TraceSession* session, uint64_t generation,
-                         const char* label, int64_t index, int64_t start_us) {
+                         const char* label, int64_t index, int64_t start_us,
+                         const TraceArg* args, size_t num_args) {
   // Only this thread can have destroyed the session under an open span
   // (the destructor waits for every other thread's), so this check
   // cannot race with the destruction.
@@ -117,7 +118,12 @@ void TraceSession::Leave(TraceSession* session, uint64_t generation,
     std::string name = index >= 0
                            ? std::string(label) + " " + std::to_string(index)
                            : std::string(label);
-    session->Record(std::move(name), start_us, end_us - start_us);
+    std::vector<std::pair<std::string, int64_t>> recorded;
+    for (size_t i = 0; i < num_args; ++i) {
+      recorded.emplace_back(args[i].key, args[i].value);
+    }
+    session->Record(std::move(name), start_us, end_us - start_us,
+                    std::move(recorded));
   }
   --tls_open_spans;
   g_open_spans.fetch_sub(1, std::memory_order_release);
@@ -137,13 +143,15 @@ TraceSession::ThreadBuffer* TraceSession::BufferForThisThread() {
   return raw;
 }
 
-void TraceSession::Record(std::string name, int64_t ts_us, int64_t dur_us) {
+void TraceSession::Record(std::string name, int64_t ts_us, int64_t dur_us,
+                          std::vector<std::pair<std::string, int64_t>> args) {
   ThreadBuffer* buffer = BufferForThisThread();
   TraceEvent& event = buffer->events.emplace_back();
   event.name = std::move(name);
   event.ts_us = ts_us;
   event.dur_us = dur_us;
   event.tid = buffer->tid;
+  event.args = std::move(args);
 }
 
 size_t TraceSession::event_count() const {
@@ -179,8 +187,18 @@ void TraceSession::WriteChromeTrace(std::ostream& os) const {
     os << "\n{\"name\":\"";
     AppendJsonEscaped(event.name, os);
     os << "\",\"cat\":\"raqlet\",\"ph\":\"X\",\"ts\":" << event.ts_us
-       << ",\"dur\":" << event.dur_us << ",\"pid\":1,\"tid\":" << event.tid
-       << "}";
+       << ",\"dur\":" << event.dur_us << ",\"pid\":1,\"tid\":" << event.tid;
+    if (!event.args.empty()) {
+      os << ",\"args\":{";
+      for (size_t i = 0; i < event.args.size(); ++i) {
+        if (i > 0) os << ",";
+        os << "\"";
+        AppendJsonEscaped(event.args[i].first, os);
+        os << "\":" << event.args[i].second;
+      }
+      os << "}";
+    }
+    os << "}";
   }
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }

@@ -48,6 +48,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -60,6 +61,15 @@ struct TraceEvent {
   int64_t ts_us = 0;   // start, microseconds since session start
   int64_t dur_us = 0;  // duration, microseconds
   uint32_t tid = 0;    // per-session thread id (registration order)
+  // Numeric arguments (Chrome "args"), in the order they were attached.
+  std::vector<std::pair<std::string, int64_t>> args;
+};
+
+/// A numeric span argument: a static key and its value. No default
+/// initializers, so a TraceScope's unused argument slots cost nothing.
+struct TraceArg {
+  const char* key;
+  int64_t value;
 };
 
 class TraceSession {
@@ -88,14 +98,16 @@ class TraceSession {
   /// index >= 0, "label index": records it unless the span's own thread
   /// destroyed the session under it, then releases the session.
   static void Leave(TraceSession* session, uint64_t generation,
-                    const char* label, int64_t index, int64_t start_us);
+                    const char* label, int64_t index, int64_t start_us,
+                    const TraceArg* args = nullptr, size_t num_args = 0);
 
   /// Identifies this session among all sessions ever created in the
   /// process (a later session may reuse this one's address).
   uint64_t generation() const { return generation_; }
 
   /// Records one completed span on the calling thread's buffer.
-  void Record(std::string name, int64_t ts_us, int64_t dur_us);
+  void Record(std::string name, int64_t ts_us, int64_t dur_us,
+              std::vector<std::pair<std::string, int64_t>> args = {});
 
   /// Microseconds elapsed since the session started (steady clock).
   int64_t NowMicros() const {
@@ -159,14 +171,27 @@ class TraceScope {
 
   ~TraceScope() {
     if (session_ == nullptr) return;
-    TraceSession::Leave(session_, generation_, name_, index_, start_us_);
+    TraceSession::Leave(session_, generation_, name_, index_, start_us_,
+                        args_, num_args_);
+  }
+
+  /// Attaches a numeric argument, exported as the span's Chrome "args";
+  /// `key` must be a static string. At most kMaxArgs per span (later ones
+  /// are dropped); free when tracing is off.
+  void Arg(const char* key, int64_t value) {
+    if (session_ == nullptr || num_args_ == kMaxArgs) return;
+    args_[num_args_++] = TraceArg{key, value};
   }
 
   /// True when a session is installed. For call sites that want to skip
   /// building an expensive dynamic annotation.
   static bool Enabled() { return TraceSession::Current() != nullptr; }
 
+  static constexpr size_t kMaxArgs = 3;
+
  private:
+  TraceArg args_[kMaxArgs];
+  size_t num_args_ = 0;
   TraceSession* session_ = nullptr;
   uint64_t generation_ = 0;
   const char* name_ = nullptr;

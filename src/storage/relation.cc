@@ -99,11 +99,12 @@ void Relation::AppendRow(const Tuple& t) {
   for (size_t c = 0; c < t.size(); ++c) columns_[c].Append(t[c]);
 }
 
-bool Relation::Contains(const Tuple& t) const {
-  if (dedup_slots_.empty()) return false;
+size_t Relation::RowOf(const Tuple& t) const {
+  if (dedup_slots_.empty()) return kNoRow;
   auto cand = [&t](size_t c) -> const Value& { return t[c]; };
-  return DedupProbe(t.size(), cand, FoldHash(TupleHash{}(t)), nullptr) !=
-         kEmptySlot;
+  const uint32_t row =
+      DedupProbe(t.size(), cand, FoldHash(TupleHash{}(t)), nullptr);
+  return row == kEmptySlot ? kNoRow : row;
 }
 
 Result<bool> Relation::Insert(Tuple t) {

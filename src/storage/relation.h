@@ -263,7 +263,11 @@ class Relation {
   /// one boxed vector per column and leaves the relation empty.
   std::vector<std::vector<Value>> ReleaseColumns();
 
-  bool Contains(const Tuple& t) const;
+  bool Contains(const Tuple& t) const { return RowOf(t) != kNoRow; }
+
+  /// Row index of `t`, or kNoRow when absent.
+  static constexpr size_t kNoRow = static_cast<size_t>(-1);
+  size_t RowOf(const Tuple& t) const;
 
   /// Row-compatibility view: boxed tuples in insertion order, materialized
   /// lazily from the columns and cached (indices stable across inserts).

@@ -67,6 +67,30 @@ TEST(DatalogEngineTest, TransitiveClosureOnChain) {
   EXPECT_GE(stats.fixpoint_rounds, 3u);
 }
 
+TEST(DatalogEngineTest, ComputedArgOnRecursiveAtomJoinsOnceBound) {
+  // The delta atom r(z + 0, y) cannot unify z + 0 before z is bound, so
+  // the planner joins edge first instead of failing on an unbound slot.
+  Database db = MakeGraphDb({{1, 2}, {2, 3}, {3, 4}});
+  for (bool reorder : {true, false}) {
+    EvalOptions options;
+    options.reorder_atoms = reorder;
+    ASSERT_TRUE(DatalogEngine(options)
+                    .Run(Parse(R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl r(x: number, y: number)
+.output r
+r(x, y) :- edge(x, y).
+r(x, y) :- r(z + 0, y), edge(x, z).
+)"),
+                         &db)
+                    .ok());
+    EXPECT_EQ(NumericRows(**db.GetRelation("r")),
+              (std::set<std::vector<int64_t>>{
+                  {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}}));
+  }
+}
+
 TEST(DatalogEngineTest, TransitiveClosureOnCycleTerminates) {
   Database db = MakeGraphDb({{1, 2}, {2, 3}, {3, 1}});
   DatalogEngine eng;

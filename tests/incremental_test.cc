@@ -189,6 +189,36 @@ outdeg(x, count(y)) :- edge(x, y).
 back(x, y) :- edge(x, y), edge(y, x + 0), x < y.
 )",
      {{"edge", 2, 8}}},
+
+    // Recursive (DRed) SCC whose changed body atom carries a computed
+    // argument: edge deltas join through that argument in every DRed
+    // phase, not just under the counting policy.
+    {"recursive_computed_arg",
+     R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl hop(x: number, y: number)
+.output hop
+hop(x, y) :- edge(x, y).
+hop(x, y) :- hop(x, z), edge(z + 0, y).
+)",
+     {{"edge", 2, 8}}},
+
+    // Recursive (DRed) SCC with a negated lower-stratum atom: blocked
+    // deltas become ¬-flip keys that seed both overdeletion and the
+    // insertion continuation.
+    {"recursive_negation",
+     R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl blocked(x: number)
+.input blocked
+.decl safe(x: number, y: number)
+.output safe
+safe(x, y) :- edge(x, y), !blocked(y).
+safe(x, y) :- safe(x, z), edge(z, y), !blocked(y).
+)",
+     {{"edge", 2, 7}, {"blocked", 1, 7}}},
 };
 
 // ---------------------------------------------------------------------------
@@ -350,7 +380,7 @@ TEST_P(IncrementalDifferentialTest, MatchesFromScratchAtAllThreadCounts) {
   RunDifferential(shape, std::get<1>(GetParam()), 8);
 }
 
-// 9 shapes × 3 seeds = 27 randomized update streams of 8 deltas each,
+// 11 shapes × 3 seeds = 33 randomized update streams of 8 deltas each,
 // every one checked at 1 and 4 threads.
 INSTANTIATE_TEST_SUITE_P(
     Streams, IncrementalDifferentialTest,

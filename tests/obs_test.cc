@@ -13,6 +13,7 @@
 
 #include "dlir/parser.h"
 #include "engine/datalog/engine.h"
+#include "engine/datalog/incremental.h"
 #include "engine/sql/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -251,6 +252,101 @@ TEST(ObsTraceTest, SqlMergeSpanInsideEachRound) {
     ASSERT_TRUE(SqlEngine(options).Run(*sqir, &db).ok());
     EXPECT_TRUE(NestsIn(session.Events(), "sql.merge", "sql.round"));
   }
+}
+
+// A chain 0 -> 1 -> ... -> n over `edge`.
+Database ChainDb(int n) {
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) edges.emplace_back(i, i + 1);
+  return MakeGraphDb(edges);
+}
+
+DeltaBatch EdgeDelta(std::vector<std::pair<int, int>> adds,
+                     std::vector<std::pair<int, int>> removes) {
+  RelationDelta rd;
+  rd.relation = "edge";
+  for (auto [x, y] : adds) rd.adds.push_back({Value::Number(x), Value::Number(y)});
+  for (auto [x, y] : removes) {
+    rd.removes.push_back({Value::Number(x), Value::Number(y)});
+  }
+  DeltaBatch batch;
+  batch.relations.push_back(std::move(rd));
+  return batch;
+}
+
+int64_t ArgOf(const obs::TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << "span " << e.name << " has no arg " << key;
+  return -2;
+}
+
+TEST(ObsTraceTest, IncrementalApplySpansNestPerPolicy) {
+  // Every maintenance phase gets a child span of incremental.apply, and
+  // the passes run on the rule kernel, so its variant and merge spans
+  // nest inside them.
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    engine::IncrementalOptions options;
+    options.num_threads = threads;
+    Database db = ChainDb(150);
+    engine::IncrementalView view(options);
+    ASSERT_TRUE(view.Initialize(Parse(kTc), &db).ok());
+    obs::TraceSession session;
+    // An insert runs only the continuation; a small delete overdeletes,
+    // erases, rederives and continues; cutting the chain in the middle
+    // cascades past the bail-out and recomputes instead.
+    ASSERT_TRUE(view.ApplyDelta(EdgeDelta({{150, 151}}, {})).ok());
+    ASSERT_TRUE(view.ApplyDelta(EdgeDelta({}, {{150, 151}})).ok());
+    ASSERT_TRUE(view.ApplyDelta(EdgeDelta({}, {{75, 76}})).ok());
+    const std::vector<obs::TraceEvent> events = session.Events();
+    for (const char* phase :
+         {"incremental.dred.overdelete", "incremental.dred.erase",
+          "incremental.dred.rederive", "incremental.dred.continuation",
+          "incremental.recompute", "incremental.diff"}) {
+      EXPECT_TRUE(NestsIn(events, phase, "incremental.apply")) << phase;
+    }
+    EXPECT_TRUE(NestsIn(events, "datalog.merge",
+                        "incremental.dred.continuation"));
+    EXPECT_TRUE(NestsIn(events, "datalog.run", "incremental.recompute"));
+
+    // The overdelete span records the cascade against the threshold:
+    // the last delete (76 * 75 = 5700 pairs > the 4096 floor) bailed.
+    std::vector<const obs::TraceEvent*> overdeletes;
+    for (const obs::TraceEvent& e : events) {
+      if (e.name == "incremental.dred.overdelete") overdeletes.push_back(&e);
+    }
+    ASSERT_EQ(overdeletes.size(), 3u);
+    const obs::TraceEvent& small = *overdeletes[1];
+    const obs::TraceEvent& cut = *overdeletes[2];
+    EXPECT_EQ(ArgOf(small, "bailed"), 0);
+    EXPECT_EQ(ArgOf(small, "overdeleted"), 151);
+    EXPECT_EQ(ArgOf(cut, "bailed"), 1);
+    EXPECT_GT(ArgOf(cut, "overdeleted"), ArgOf(cut, "bail_at"));
+    EXPECT_EQ(ArgOf(cut, "bail_at"), 4096);
+
+    // Exported as the Chrome event's args.
+    std::ostringstream json;
+    session.WriteChromeTrace(json);
+    EXPECT_NE(json.str().find("\"args\":{\"bail_at\":4096,"),
+              std::string::npos);
+  }
+
+  // A non-recursive program takes the counting policy.
+  Database db = ChainDb(10);
+  engine::IncrementalView view;
+  ASSERT_TRUE(view.Initialize(Parse(R"(
+.decl edge(x: number, y: number)
+.input edge
+.decl two(x: number, y: number)
+.output two
+two(x, z) :- edge(x, y), edge(y, z).
+)"), &db).ok());
+  obs::TraceSession session;
+  ASSERT_TRUE(view.ApplyDelta(EdgeDelta({{10, 11}}, {{0, 1}})).ok());
+  EXPECT_TRUE(
+      NestsIn(session.Events(), "incremental.counting", "incremental.apply"));
 }
 
 // ---------------------------------------------------------------------------
